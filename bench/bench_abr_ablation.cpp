@@ -80,16 +80,9 @@ harness::SessionConfig base_config(std::uint64_t seed, const Sweep& sweep,
 }
 
 struct ArmResult {
-  stats::Summary utility;       // frame-weighted chosen/top, per session
-  stats::Summary startup_ms;
-  stats::Summary goodput_mbps;
-  double rebuffer = 0, play = 0;
-  std::uint64_t decisions = 0, switches = 0, magnitude = 0;
-  int finished = 0, sessions = 0;
-
-  double rebuffer_pct() const {
-    return play > 0 ? rebuffer / play * 100.0 : 0.0;
-  }
+  harness::DayMetrics day;
+  stats::Summary goodput_mbps;  // per session
+  int finished = 0;
 };
 
 ArmResult run_arm(const Arm& arm, const Sweep& sweep, bool ge_loss) {
@@ -102,20 +95,13 @@ ArmResult run_arm(const Arm& arm, const Sweep& sweep, bool ge_loss) {
       });
   ArmResult a;
   for (const auto& r : results) {
-    ++a.sessions;
-    a.utility.add(r.abr_bitrate_utility);
-    if (r.startup_delay_seconds)
-      a.startup_ms.add(*r.startup_delay_seconds * 1000.0);
     if (r.download_seconds > 0.0)
-      a.goodput_mbps.add(double(r.stream_payload_bytes) * 8.0 / 1e6 /
-                         r.download_seconds);
-    a.rebuffer += r.rebuffer_seconds;
-    a.play += r.play_seconds;
-    a.decisions += r.abr_decisions;
-    a.switches += r.abr_switches;
-    a.magnitude += r.abr_switch_magnitude;
+      a.goodput_mbps.add(
+          double(r.metrics.counter("quic.server.stream_bytes_sent")) * 8.0 /
+          1e6 / r.download_seconds);
     a.finished += r.video_finished ? 1 : 0;
   }
+  a.day = harness::fold_day(results);
   return a;
 }
 
@@ -125,13 +111,16 @@ void run_regime(const char* name, bool ge_loss, const Sweep& sweep) {
                       "startup p50(ms)", "goodput p50(Mb/s)", "fin"});
   for (const Arm& arm : kArms) {
     const ArmResult a = run_arm(arm, sweep, ge_loss);
+    const harness::DayMetrics& day = a.day;
+    const std::uint64_t switches = day.metrics.counter("session.abr.switches");
     table.add_row(
-        {arm.label, bench::fmt(a.utility.mean(), 3),
-         bench::fmt(a.rebuffer_pct(), 2),
-         bench::fmt(a.sessions ? double(a.switches) / a.sessions : 0.0, 1),
-         std::to_string(a.magnitude), bench::fmt(a.startup_ms.median(), 0),
+        {arm.label, bench::fmt(day.abr_utility.mean(), 3),
+         bench::fmt(day.rebuffer_rate * 100.0, 2),
+         bench::fmt(day.sessions ? double(switches) / day.sessions : 0.0, 1),
+         std::to_string(day.metrics.counter("session.abr.switch_magnitude")),
+         bench::fmt(bench::median_ms(day.startup_delay), 0),
          bench::fmt(a.goodput_mbps.median(), 2),
-         std::to_string(a.finished) + "/" + std::to_string(a.sessions)});
+         std::to_string(a.finished) + "/" + std::to_string(day.sessions)});
   }
   table.print();
 }

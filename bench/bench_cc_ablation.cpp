@@ -75,10 +75,8 @@ harness::SessionConfig base_config(std::uint64_t seed, const Sweep& sweep,
 }
 
 struct ArmResult {
-  stats::Summary first_frame_ms;
-  stats::Summary goodput_mbps;  // per session
-  double rebuffer = 0, play = 0;
-  std::uint64_t payload = 0, retransmitted = 0, lost = 0;
+  harness::DayMetrics day;
+  stats::Summary goodput_mbps;   // per session
   std::uint64_t peak_queue = 0;  // max droptail depth over paths/sessions
 };
 
@@ -92,19 +90,14 @@ ArmResult run_arm(const Arm& arm, const Sweep& sweep, bool ge_loss) {
       });
   ArmResult a;
   for (const auto& r : results) {
-    if (r.first_frame_seconds)
-      a.first_frame_ms.add(*r.first_frame_seconds * 1000.0);
     if (r.download_seconds > 0.0)
-      a.goodput_mbps.add(double(r.stream_payload_bytes) * 8.0 / 1e6 /
-                         r.download_seconds);
-    a.rebuffer += r.rebuffer_seconds;
-    a.play += r.play_seconds;
-    a.payload += r.stream_payload_bytes;
-    a.retransmitted += r.retransmitted_bytes;
-    a.lost += r.packets_lost;
+      a.goodput_mbps.add(
+          double(r.metrics.counter("quic.server.stream_bytes_sent")) * 8.0 /
+          1e6 / r.download_seconds);
     for (std::uint64_t q : r.path_peak_queue_bytes)
       a.peak_queue = std::max(a.peak_queue, q);
   }
+  a.day = harness::fold_day(results);
   return a;
 }
 
@@ -114,11 +107,13 @@ void run_regime(const char* name, bool ge_loss, const Sweep& sweep) {
                       "lost pkts", "rtx(KB)", "peak queue(KB)"});
   for (const Arm& arm : kArms) {
     const ArmResult a = run_arm(arm, sweep, ge_loss);
+    const auto& m = a.day.metrics;
     table.add_row(
         {arm.label, bench::fmt(a.goodput_mbps.median(), 2),
-         bench::fmt(a.first_frame_ms.median(), 0),
-         bench::fmt(a.play > 0 ? a.rebuffer / a.play * 100.0 : 0.0, 2),
-         std::to_string(a.lost), bench::fmt(a.retransmitted / 1024.0, 0),
+         bench::fmt(bench::median_ms(a.day.first_frame), 0),
+         bench::fmt(a.day.rebuffer_rate * 100.0, 2),
+         std::to_string(m.counter("quic.server.packets_lost")),
+         bench::fmt(m.counter("quic.server.retransmitted_bytes") / 1024.0, 0),
          bench::fmt(a.peak_queue / 1024.0, 1)});
   }
   table.print();

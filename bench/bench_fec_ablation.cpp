@@ -74,37 +74,13 @@ void configure_arm(harness::SessionConfig& cfg, const Arm& arm) {
   cfg.options.fec.loss_multiplier = 8.0;
 }
 
-struct ArmResult {
-  stats::Summary first_frame_ms;
-  stats::Summary rct;
-  double rebuffer = 0, play = 0;
-  std::uint64_t payload = 0, reinject = 0, repair = 0;
-  std::uint64_t erased = 0, recovered = 0, wasted = 0, windows = 0;
-};
-
-ArmResult run_arm(const Arm& arm, const Sweep& sweep) {
-  const auto results = harness::run_sessions_parallel(
+harness::DayMetrics run_arm(const Arm& arm, const Sweep& sweep) {
+  return harness::fold_day(harness::run_sessions_parallel(
       static_cast<std::size_t>(sweep.seeds), [&](std::size_t i) {
         auto cfg = base_config(i + 1, sweep);
         configure_arm(cfg, arm);
         return cfg;
-      });
-  ArmResult a;
-  for (const auto& r : results) {
-    if (r.first_frame_seconds)
-      a.first_frame_ms.add(*r.first_frame_seconds * 1000.0);
-    a.rct.add_all(r.chunk_rct_seconds);
-    a.rebuffer += r.rebuffer_seconds;
-    a.play += r.play_seconds;
-    a.payload += r.stream_payload_bytes;
-    a.reinject += r.reinjected_bytes;
-    a.repair += r.fec_repair_bytes;
-    a.erased += r.fec_erased_seen;
-    a.recovered += r.fec_recovered_packets;
-    a.wasted += r.fec_wasted_symbols;
-    a.windows += r.fec_windows_protected;
-  }
-  return a;
+      }));
 }
 
 }  // namespace
@@ -135,20 +111,20 @@ int main(int argc, char** argv) {
                       "redun(%)", "windows", "erased", "recovered",
                       "recov(%)", "wasted"});
   for (const Arm& arm : kArms) {
-    const ArmResult a = run_arm(arm, sweep);
-    const double redun_pct =
-        a.payload > 0
-            ? 100.0 * double(a.reinject + a.repair) / double(a.payload)
-            : 0.0;
+    const harness::DayMetrics day = run_arm(arm, sweep);
+    const auto& m = day.metrics;
+    const std::uint64_t erased = m.counter("fec.client.erased_seen");
+    const std::uint64_t recovered = m.counter("fec.client.recovered_packets");
     const double recov_pct =
-        a.erased > 0 ? 100.0 * double(a.recovered) / double(a.erased) : 0.0;
-    table.add_row({arm.label, bench::fmt(a.first_frame_ms.median(), 0),
-                   bench::fmt(a.rct.percentile(99), 2),
-                   bench::fmt(a.play > 0 ? a.rebuffer / a.play * 100.0 : 0.0,
-                              2),
-                   bench::fmt(redun_pct, 1), std::to_string(a.windows),
-                   std::to_string(a.erased), std::to_string(a.recovered),
-                   bench::fmt(recov_pct, 1), std::to_string(a.wasted)});
+        erased > 0 ? 100.0 * double(recovered) / double(erased) : 0.0;
+    table.add_row({arm.label, bench::fmt(bench::median_ms(day.first_frame), 0),
+                   bench::fmt(day.rct.percentile(99), 2),
+                   bench::fmt(day.rebuffer_rate * 100.0, 2),
+                   bench::fmt(day.redundancy_pct, 1),
+                   std::to_string(m.counter("fec.server.windows_protected")),
+                   std::to_string(erased), std::to_string(recovered),
+                   bench::fmt(recov_pct, 1),
+                   std::to_string(m.counter("fec.client.wasted_symbols"))});
   }
   table.print();
   std::printf("\nrecov(%%) = erasures rebuilt from repair symbols without a"

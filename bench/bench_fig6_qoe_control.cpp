@@ -10,6 +10,8 @@
 //                            buffer is low (XLINK)
 // Output: buffer level + cumulative re-injected bytes timeline per scheme,
 // plus rebuffer/cost totals.
+#include <cinttypes>
+
 #include "bench_util.h"
 #include "core/session.h"
 #include "trace/synthetic.h"
@@ -64,10 +66,10 @@ void run_scheme(const char* label, core::Scheme scheme,
   }
   table.print();
   std::printf(
-      "summary: rebuffers=%u rebuffer_time=%.2fs reinjected=%.2fMB "
-      "redundancy=%.1f%% first_frame=%.0fms\n",
-      result.rebuffer_count, result.rebuffer_seconds,
-      static_cast<double>(result.reinjected_bytes) / 1e6,
+      "summary: rebuffers=%" PRIu64 " rebuffer_time=%.2fs "
+      "reinjected=%.2fMB redundancy=%.1f%% first_frame=%.0fms\n",
+      result.metrics.counter("session.rebuffers"), result.rebuffer_seconds,
+      result.metrics.counter("quic.server.reinjected_bytes") / 1e6,
       result.redundancy_ratio * 100.0,
       result.first_frame_seconds.value_or(0.0) * 1000.0);
 }

@@ -5,6 +5,9 @@
 //  - event_loop_schedule_fire:   schedule 1M events, run them all
 //  - event_loop_schedule_cancel: 1M armed-then-disarmed timers (the
 //    retransmission-timer pattern; exercises slab + lazy compaction)
+//  - event_loop_timer_mix, varint_roundtrip, ack_mp_roundtrip,
+//    interval_set_add: ops/sec of the session's timer pattern, the
+//    per-packet codecs and stream reassembly, each in isolation
 //  - packet_datapath_roundtrip:  seal -> link -> parse/open round trips per
 //    second through the pooled zero-allocation datapath, with buffer-pool
 //    hit/alloc counters recorded alongside
@@ -28,8 +31,8 @@
 //    machine on vs off — the delta is the hot-path cost of failover
 //    bookkeeping and must stay in the noise
 //  - invariant_auditor:          the same population with the runtime
-//    invariant auditor on vs off — per-tick cost of the cross-layer
-//    invariant walk; ~0 with -DXLINK_AUDIT=OFF, <5% when on
+//    invariant auditor on vs off (XLINK_AUDIT=0) — per-tick cost of the
+//    cross-layer invariant walk; ~0 with -DXLINK_AUDIT=OFF, <5% when on
 //
 // Usage: bench_perf [--smoke] [output.json]
 //   (default output: BENCH_perf.json in cwd; --smoke cuts iteration counts
@@ -38,6 +41,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -57,6 +61,8 @@
 #include "net/link.h"
 #include "net/packet_buffer.h"
 #include "quic/delivery_rate.h"
+#include "quic/frame.h"
+#include "quic/interval_set.h"
 #include "quic/pacer.h"
 #include "quic/packet.h"
 #include "sim/event_loop.h"
@@ -103,6 +109,78 @@ double bench_schedule_cancel(int events) {
       const sim::EventId id =
           loop.schedule_in(static_cast<sim::Duration>(i % 9973 + 1), [] {});
       loop.cancel(id);
+    }
+  });
+}
+
+/// 256 live timers; each firing re-arms its slot and cancels the next
+/// slot's timer, until `fires` timers have fired.
+double bench_timer_mix(std::uint64_t fires) {
+  sim::EventLoop loop;
+  std::vector<sim::EventId> ids(256, 0);
+  std::uint64_t fired = 0;
+  std::function<void(std::size_t)> arm = [&](std::size_t slot) {
+    ids[slot] = loop.schedule_in(1 + slot % 61, [&, slot] {
+      ++fired;
+      loop.cancel(ids[(slot + 1) % ids.size()]);
+      if (fired < fires) arm(slot);
+    });
+  };
+  return wall_seconds([&] {
+    for (std::size_t s = 0; s < ids.size(); ++s) arm(s);
+    loop.run();
+  });
+}
+
+/// Encodes four varints of 1/2/4/8 bytes and reads them back.
+double bench_varint_roundtrip(std::uint64_t iters) {
+  const std::uint64_t values[] = {7, 300, 70000, 5'000'000'000ULL};
+  std::uint64_t sum = 0;
+  return wall_seconds([&] {
+    for (std::uint64_t i = 0; i < iters; ++i) {
+      quic::Writer w;
+      for (std::uint64_t v : values) w.varint(v);
+      quic::Reader r(w.data());
+      for (int k = 0; k < 4; ++k) sum += r.varint().value_or(0);
+      asm volatile("" : "+r"(sum));
+    }
+  });
+}
+
+/// Encodes and parses an ACK_MP frame with 8 ranges and a QoE signal.
+double bench_ack_mp_roundtrip(std::uint64_t iters) {
+  quic::AckMpFrame f;
+  f.path_id = 1;
+  for (int i = 0; i < 8; ++i)
+    f.info.ranges.push_back({static_cast<quic::PacketNumber>(100 - i * 10),
+                             static_cast<quic::PacketNumber>(104 - i * 10)});
+  f.qoe = quic::QoeSignal{1'000'000, 120, 2'000'000, 30};
+  const quic::Frame frame{f};
+  std::size_t parsed = 0;
+  return wall_seconds([&] {
+    for (std::uint64_t i = 0; i < iters; ++i) {
+      quic::Writer w;
+      quic::encode_frame(frame, w);
+      quic::Reader r(w.data());
+      parsed += quic::parse_frame(r).has_value();
+      asm volatile("" : "+r"(parsed));
+    }
+  });
+}
+
+/// Fills an IntervalSet with 200 ranges, evens then odds, so every odd
+/// add merges two neighbours.
+double bench_interval_set_add(std::uint64_t iters) {
+  std::size_t count = 0;
+  return wall_seconds([&] {
+    for (std::uint64_t i = 0; i < iters; ++i) {
+      quic::IntervalSet set;
+      for (std::uint64_t k = 0; k < 200; k += 2)
+        set.add(k * 100, k * 100 + 100);
+      for (std::uint64_t k = 1; k < 200; k += 2)
+        set.add(k * 100, k * 100 + 100);
+      count += set.interval_count();
+      asm volatile("" : "+r"(count));
     }
   });
 }
@@ -259,13 +337,12 @@ harness::SessionConfig small_session_config(std::uint64_t seed) {
 }
 
 double bench_session_throughput(int sessions, bool traced,
-                                bool path_health = true, bool audit = true) {
+                                bool path_health = true) {
   return wall_seconds([&] {
     for (int i = 0; i < sessions; ++i) {
       auto cfg = small_session_config(3 + i);
       cfg.trace.enabled = traced;
       cfg.path_health = path_health;
-      cfg.audit = audit;
       harness::Session session(std::move(cfg));
       const auto r = session.run();
       (void)r;
@@ -481,10 +558,14 @@ int main(int argc, char** argv) {
   bool smoke = false;
   const char* out_path = "BENCH_perf.json";
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke")
+    if (std::string(argv[i]) == "--smoke") {
       smoke = true;
-    else
+    } else if (argv[i][0] == '-') {
+      std::fprintf(stderr, "usage: bench_perf [--smoke] [output.json]\n");
+      return 2;
+    } else {
       out_path = argv[i];
+    }
   }
   const unsigned jobs = harness::default_jobs();
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
@@ -513,6 +594,25 @@ int main(int argc, char** argv) {
                      loop_events / sc});
   std::printf("  event_loop_schedule_cancel: %.3fs  (%.2fM ops/s)\n", sc,
               loop_events / sc / 1e6);
+
+  const std::uint64_t scale = smoke ? 1 : 10;
+  const struct {
+    const char* name;
+    double (*run)(std::uint64_t);
+    std::uint64_t ops;
+  } primitives[] = {
+      {"event_loop_timer_mix", bench_timer_mix, 20'000 * scale},
+      {"varint_roundtrip", bench_varint_roundtrip, 200'000 * scale},
+      {"ack_mp_roundtrip", bench_ack_mp_roundtrip, 200'000 * scale},
+      {"interval_set_add", bench_interval_set_add, 5'000 * scale},
+  };
+  for (const auto& p : primitives) {
+    const double s = p.run(p.ops);
+    const double rate = static_cast<double>(p.ops) / s;
+    records.push_back({p.name, s, "ops_per_sec", rate});
+    std::printf("  %-27s %.3fs  (%.1fns per op)\n",
+                (std::string(p.name) + ":").c_str(), s, 1e9 / rate);
+  }
 
   const DatapathPerf dp = bench_packet_datapath(datapath_packets);
   std::printf(
@@ -559,13 +659,20 @@ int main(int argc, char** argv) {
       st, sth, health_overhead_pct);
 
   // Invariant auditor: the same fault-free population with the runtime
-  // auditor switched off. The default `st` run above audits every pump, so
-  // the delta is the per-tick cost of the cross-layer invariant walk. With
-  // -DXLINK_AUDIT=OFF both legs compile to the same code and the overhead
-  // collapses to noise (the ((void)0) claim, kept visible per commit).
-  const double sta = bench_session_throughput(kThroughputSessions, false,
-                                              /*path_health=*/true,
-                                              /*audit=*/false);
+  // switch XLINK_AUDIT=0 set around it (restored afterwards). The default
+  // `st` run above audits, so the delta is the per-tick cost of the
+  // cross-layer invariant walk. With -DXLINK_AUDIT=OFF both legs compile to
+  // the same code and the overhead collapses to noise (the ((void)0)
+  // claim, kept visible per commit).
+  const char* audit_env = std::getenv("XLINK_AUDIT");
+  const std::optional<std::string> saved_audit_env =
+      audit_env ? std::optional<std::string>(audit_env) : std::nullopt;
+  ::setenv("XLINK_AUDIT", "0", 1);
+  const double sta = bench_session_throughput(kThroughputSessions, false);
+  if (saved_audit_env)
+    ::setenv("XLINK_AUDIT", saved_audit_env->c_str(), 1);
+  else
+    ::unsetenv("XLINK_AUDIT");
   const double audit_overhead_pct = sta > 0 ? (st - sta) / sta * 100.0 : 0.0;
   std::printf(
       "  invariant_auditor:          on %.3fs, off %.3fs (overhead %+.1f%%)\n",

@@ -125,6 +125,14 @@ run_with_timeline(harness::SessionConfig cfg,
   return {std::move(result), std::move(timeline)};
 }
 
+/// Median of a summary of seconds, in ms. Scales each sample before
+/// interpolating, so the result matches a summary of ms samples bit for bit.
+inline double median_ms(const stats::Summary& seconds) {
+  stats::Summary ms;
+  for (double s : seconds.samples()) ms.add(s * 1000.0);
+  return ms.median();
+}
+
 inline std::string fmt(double v, int precision = 2) {
   return stats::Table::fmt(v, precision);
 }

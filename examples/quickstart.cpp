@@ -4,6 +4,7 @@
 // pick the transport scheme, run the session, read the QoE metrics.
 //
 //   $ ./examples/quickstart
+#include <cinttypes>
 #include <cstdio>
 
 #include "harness/scenario.h"
@@ -39,14 +40,17 @@ int main() {
               result.video_finished ? "yes" : "no");
   std::printf("first video frame: %.0f ms\n",
               result.first_frame_seconds.value_or(0) * 1000);
-  std::printf("rebuffering:       %u events, %.2f s total (rate %.2f%%)\n",
-              result.rebuffer_count, result.rebuffer_seconds,
+  // Counters (events, bytes, packets) live in the session's registry.
+  const auto& counters = result.metrics;
+  std::printf("rebuffering:       %" PRIu64 " events, %.2f s total "
+              "(rate %.2f%%)\n",
+              counters.counter("session.rebuffers"), result.rebuffer_seconds,
               result.rebuffer_rate * 100);
   std::printf("chunk RCTs (s):    ");
   for (double t : result.chunk_rct_seconds) std::printf("%.2f ", t);
   std::printf("\nredundant traffic: %.1f%% of payload (%.0f KB re-injected)\n",
               result.redundancy_ratio * 100,
-              static_cast<double>(result.reinjected_bytes) / 1000);
+              counters.counter("quic.server.reinjected_bytes") / 1000.0);
   std::printf("bytes per path:    WiFi %.0f KB, LTE %.0f KB\n",
               static_cast<double>(result.path_down_bytes[0]) / 1000,
               static_cast<double>(result.path_down_bytes[1]) / 1000);

@@ -71,8 +71,8 @@ Outcome run_with(core::ControlMode mode, sim::Duration tth1,
     const auto r = session.run();
     out.rebuffer_s += r.rebuffer_seconds;
     out.first_frame_ms += r.first_frame_seconds.value_or(0) * 250;  // avg/4
-    payload += r.stream_payload_bytes;
-    dup += r.reinjected_bytes;
+    payload += r.metrics.counter("quic.server.stream_bytes_sent");
+    dup += r.metrics.counter("quic.server.reinjected_bytes");
   }
   out.cost_pct = payload ? 100.0 * static_cast<double>(dup) / payload : 0;
   return out;

@@ -45,18 +45,16 @@ struct DayMetrics {
   stats::Summary rct;          // per-chunk request completion time (s)
   stats::Summary first_frame;  // first-video-frame latency (s)
   stats::Summary startup_delay;  // time to playback start (s)
+  /// Per ABR session bitrate utility, [0,1]; empty for fixed-bitrate days.
+  stats::Summary abr_utility;
   double rebuffer_rate = 0.0;  // sum(rebuffer)/sum(play) over the day
   double redundancy_pct = 0.0; // extra egress from re-injection + FEC (%)
   int sessions = 0;
-  int unfinished_downloads = 0;
-  // ABR aggregates (all zero for fixed-bitrate populations).
-  stats::Summary abr_utility;  // per-session bitrate utility, [0,1]
-  std::uint64_t abr_decisions = 0;
-  std::uint64_t abr_switches = 0;
-  std::uint64_t abr_switch_magnitude = 0;
-  int abr_sessions = 0;
   /// Per-session registries merged in session-index order (bit-identical
-  /// for every job count, like every other field here).
+  /// for every job count, like every other field here). Day totals of the
+  /// session counters live here, e.g. unfinished downloads are
+  /// "session.count" - "session.downloads_finished" and ABR switches are
+  /// "session.abr.switches".
   telemetry::MetricsRegistry metrics;
 };
 

@@ -24,36 +24,28 @@ DayMetrics fold_day(const std::vector<SessionResult>& results) {
   DayMetrics day;
   double rebuffer_sum = 0.0;
   double play_sum = 0.0;
-  std::uint64_t payload_sum = 0;
-  std::uint64_t dup_sum = 0;
   for (const SessionResult& r : results) {
     day.rct.add_all(r.chunk_rct_seconds);
     if (r.first_frame_seconds) day.first_frame.add(*r.first_frame_seconds);
     if (r.startup_delay_seconds)
       day.startup_delay.add(*r.startup_delay_seconds);
-    if (r.abr_enabled) {
-      day.abr_utility.add(r.abr_bitrate_utility);
-      day.abr_decisions += r.abr_decisions;
-      day.abr_switches += r.abr_switches;
-      day.abr_switch_magnitude += r.abr_switch_magnitude;
-      ++day.abr_sessions;
-    }
+    if (r.abr_enabled) day.abr_utility.add(r.abr_bitrate_utility);
     rebuffer_sum += r.rebuffer_seconds;
     play_sum += r.play_seconds;
-    payload_sum += r.stream_payload_bytes;
-    // All redundancy egress counts: re-injected duplicates AND FEC repair
-    // symbols (both are traffic the server would not send without the
-    // protection mechanism).
-    dup_sum += r.reinjected_bytes + r.fec_repair_bytes;
-    if (!r.download_finished) ++day.unfinished_downloads;
     ++day.sessions;
     day.metrics.merge(r.metrics);
   }
   day.rebuffer_rate = play_sum > 0 ? rebuffer_sum / play_sum : 0.0;
+  // All redundancy egress counts: re-injected duplicates AND FEC repair
+  // symbols (both are traffic the server would not send without the
+  // protection mechanism).
+  const telemetry::MetricsRegistry& m = day.metrics;
+  const std::uint64_t payload = m.counter("quic.server.stream_bytes_sent");
+  const std::uint64_t dup = m.counter("quic.server.reinjected_bytes") +
+                            m.counter("fec.server.repair_bytes");
   day.redundancy_pct =
-      payload_sum > 0
-          ? 100.0 * static_cast<double>(dup_sum) /
-                static_cast<double>(payload_sum)
+      payload > 0
+          ? 100.0 * static_cast<double>(dup) / static_cast<double>(payload)
           : 0.0;
   return day;
 }

@@ -7,6 +7,13 @@
 
 namespace xlink::harness {
 
+// Player sampling period of the QoE capture, and the connection-migration
+// baseline's policy: migrate after kCmStallThreshold without download
+// progress, checked every kCmProbeInterval.
+constexpr sim::Duration kQoePeriod = sim::millis(100);
+constexpr sim::Duration kCmStallThreshold = sim::millis(600);
+constexpr sim::Duration kCmProbeInterval = sim::millis(100);
+
 net::PathSpec make_path_spec(net::Wireless tech, trace::LinkTrace down_trace,
                              sim::Duration rtt, double loss_rate) {
   net::PathSpec spec;
@@ -49,8 +56,6 @@ Session::Session(SessionConfig config) : config_(std::move(config)) {
                                              config_.options);
   client_cfg.trace = trace_.get();
   client_cfg.health.enabled = config_.path_health;
-  client_cfg.budgets.enforce = config_.guard;
-  client_cfg.audit.enabled = config_.audit;
   client_conn_ = std::make_unique<quic::Connection>(loop_,
                                                     std::move(client_cfg));
   auto server_cfg = core::make_scheme_config(config_.scheme,
@@ -60,8 +65,6 @@ Session::Session(SessionConfig config) : config_(std::move(config)) {
     server_cfg.scheduler = config_.server_scheduler_override;
   server_cfg.trace = trace_.get();
   server_cfg.health.enabled = config_.path_health;
-  server_cfg.budgets.enforce = config_.guard;
-  server_cfg.audit.enabled = config_.audit;
   server_conn_ = std::make_unique<quic::Connection>(loop_,
                                                     std::move(server_cfg));
 
@@ -129,8 +132,8 @@ Session::Session(SessionConfig config) : config_(std::move(config)) {
         loop_, *video_model_, config_.startup_buffer_frames);
     player_->set_trace(trace_.get());
     media_client_->set_player(player_.get());
-    qoe_capture_ = std::make_unique<video::QoeCapture>(loop_, *player_,
-                                                       config_.qoe_period);
+    qoe_capture_ =
+        std::make_unique<video::QoeCapture>(loop_, *player_, kQoePeriod);
     client_conn_->set_qoe_provider(
         [this]() { return qoe_capture_->latest(); });
     // The hybrid ABR controller reads the same (staleness-included)
@@ -179,7 +182,7 @@ void Session::cm_probe() {
     cm_last_rx_packets_ = progress;
     cm_last_progress_ = loop_.now();
   } else if (!media_client_->all_done() &&
-             loop_.now() - cm_last_progress_ >= config_.cm_stall_threshold &&
+             loop_.now() - cm_last_progress_ >= kCmStallThreshold &&
              network_->path_count() > 1) {
     // Stalled: migrate to the next interface under a fresh connection ID
     // (path ids wrap onto physical links in the endpoint). Migration stops
@@ -189,7 +192,7 @@ void Session::cm_probe() {
         static_cast<quic::PathId>(cm_current_path_));
     cm_last_progress_ = loop_.now();
   }
-  loop_.schedule_in(config_.cm_probe_interval, [this] { cm_probe(); });
+  loop_.schedule_in(kCmProbeInterval, [this] { cm_probe(); });
 }
 
 void Session::sample_tick() {
@@ -208,7 +211,7 @@ SessionResult Session::run() {
   client_conn_->connect();
   if (config_.scheme == core::Scheme::kConnMigration) {
     cm_last_progress_ = loop_.now();
-    loop_.schedule_in(config_.cm_probe_interval, [this] { cm_probe(); });
+    loop_.schedule_in(kCmProbeInterval, [this] { cm_probe(); });
   }
   if (on_sample) sample_tick();
 
@@ -221,8 +224,6 @@ SessionResult Session::run() {
 
   SessionResult result;
   result.chunk_rct_seconds = media_client_->completion_times_seconds();
-  result.chunks_total = media_client_->chunk_metrics().size();
-  result.chunks_completed = result.chunk_rct_seconds.size();
   result.download_finished = media_client_->all_done();
   // Censor incomplete chunks at the elapsed time (they are the tail).
   for (const auto& m : media_client_->chunk_metrics()) {
@@ -243,33 +244,15 @@ SessionResult Session::run() {
     result.rebuffer_rate = player_->rebuffer_rate();
     result.rebuffer_seconds = sim::to_seconds(player_->total_rebuffer_time());
     result.play_seconds = sim::to_seconds(player_->total_play_time());
-    result.rebuffer_count = player_->rebuffer_count();
     result.video_finished = player_->finished();
   }
 
   if (media_client_->abr_enabled()) {
-    const auto abr = media_client_->abr_summary();
     result.abr_enabled = true;
-    result.abr_decisions = abr.decisions;
-    result.abr_switches = abr.switches;
-    result.abr_switch_magnitude = abr.switch_magnitude;
-    result.abr_bitrate_utility = abr.bitrate_utility;
+    result.abr_bitrate_utility = media_client_->abr_summary().bitrate_utility;
   }
 
-  const auto& server_stats = server_conn_->stats();
-  result.server_wire_bytes = server_stats.bytes_sent;
-  result.stream_payload_bytes = server_stats.stream_bytes_sent;
-  result.reinjected_bytes = server_stats.reinjected_bytes;
-  result.retransmitted_bytes = server_stats.retransmitted_bytes;
-  result.packets_lost = server_stats.packets_lost;
-  result.redundancy_ratio = server_stats.redundancy_ratio();
-  result.fec_repair_bytes = server_stats.fec_repair_bytes_sent;
-  result.fec_repair_packets = server_stats.fec_repair_packets_sent;
-  result.fec_windows_protected = server_stats.fec_windows_protected;
-  const auto& client_stats = client_conn_->stats();
-  result.fec_recovered_packets = client_stats.fec_recovered_packets;
-  result.fec_wasted_symbols = client_stats.fec_wasted_symbols;
-  result.fec_erased_seen = client_stats.fec_erased_seen;
+  result.redundancy_ratio = server_conn_->stats().redundancy_ratio();
   for (std::size_t i = 0; i < network_->path_count(); ++i) {
     result.path_down_bytes.push_back(
         network_->path(i).down_stats().bytes_delivered);
@@ -315,10 +298,14 @@ void Session::fill_metrics(SessionResult& result) const {
     m.add_counter("fec.client.erased_seen", client.fec_erased_seen);
   }
 
+  const auto& chunks = media_client_->chunk_metrics();
   m.add_counter("session.count", 1);
-  m.add_counter("session.chunks_total", result.chunks_total);
-  m.add_counter("session.chunks_completed", result.chunks_completed);
-  m.add_counter("session.rebuffers", result.rebuffer_count);
+  m.add_counter("session.chunks_total", chunks.size());
+  m.add_counter("session.chunks_completed",
+                std::count_if(chunks.begin(), chunks.end(), [](const auto& c) {
+                  return c.completed_at.has_value();
+                }));
+  m.add_counter("session.rebuffers", player_ ? player_->rebuffer_count() : 0);
   m.add_counter("session.downloads_finished",
                 result.download_finished ? 1 : 0);
   m.add_counter("session.videos_finished", result.video_finished ? 1 : 0);
@@ -333,10 +320,10 @@ void Session::fill_metrics(SessionResult& result) const {
     m.observe("session.rebuffer_rate", result.rebuffer_rate);
 
   if (result.abr_enabled) {
-    m.add_counter("session.abr.decisions", result.abr_decisions);
-    m.add_counter("session.abr.switches", result.abr_switches);
-    m.add_counter("session.abr.switch_magnitude",
-                  result.abr_switch_magnitude);
+    const auto abr = media_client_->abr_summary();
+    m.add_counter("session.abr.decisions", abr.decisions);
+    m.add_counter("session.abr.switches", abr.switches);
+    m.add_counter("session.abr.switch_magnitude", abr.switch_magnitude);
     m.observe("session.abr_bitrate_utility", result.abr_bitrate_utility);
   }
 

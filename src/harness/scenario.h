@@ -48,7 +48,6 @@ struct SessionConfig {
   video::VideoSpec video;
   http::MediaClient::Config client;
   http::MediaServer::Config server;
-  sim::Duration qoe_period = sim::millis(100);
   /// Also send standalone QOE_CONTROL_SIGNALS frames decoupled from acks
   /// (the multipath draft's mechanism; the deployed paper system relied on
   /// ACK_MP piggybacking alone).
@@ -67,23 +66,13 @@ struct SessionConfig {
   /// (DESIGN.md §7). Off reproduces the pre-failover transport, which the
   /// chaos suite uses as its no-failover baseline.
   bool path_health = true;
-  /// Hostile-peer guard on both endpoints (quic/guard.h). Off reproduces
-  /// the pre-guard permissive transport for ablations.
-  bool guard = true;
-  /// Invariant auditor on both endpoints; additionally gated by the
-  /// XLINK_AUDIT env variable and the XLINK_AUDIT build option.
-  bool audit = true;
-  // Connection-migration baseline policy: migrate when no packet has
-  // arrived for this long while a download is outstanding.
-  sim::Duration cm_stall_threshold = sim::millis(600);
-  sim::Duration cm_probe_interval = sim::millis(100);
   TraceConfig trace;
 };
 
+/// The outcome of one session. Its integer counters live in `metrics`.
 struct SessionResult {
-  std::vector<double> chunk_rct_seconds;  // completed chunks only
-  std::size_t chunks_total = 0;
-  std::size_t chunks_completed = 0;
+  /// Completed chunks, then incomplete ones censored at the session's end.
+  std::vector<double> chunk_rct_seconds;
   std::optional<double> first_frame_seconds;
   /// Time until playback started (startup buffer filled). Startup waiting
   /// is not a stall: it is excluded from rebuffer and play time.
@@ -91,37 +80,22 @@ struct SessionResult {
   double rebuffer_rate = 0.0;
   double rebuffer_seconds = 0.0;
   double play_seconds = 0.0;
-  std::uint32_t rebuffer_count = 0;
   bool video_finished = false;
   bool download_finished = false;
   double download_seconds = 0.0;  // start -> last chunk (or censored)
-  std::uint64_t server_wire_bytes = 0;
-  std::uint64_t stream_payload_bytes = 0;
-  std::uint64_t reinjected_bytes = 0;
-  std::uint64_t retransmitted_bytes = 0;
-  std::uint64_t packets_lost = 0;
   double redundancy_ratio = 0.0;
-  // FEC (server = protecting sender, client = recovering receiver).
-  std::uint64_t fec_repair_bytes = 0;       // repair symbol bytes sent
-  std::uint64_t fec_repair_packets = 0;
-  std::uint64_t fec_windows_protected = 0;
-  std::uint64_t fec_recovered_packets = 0;  // erasures rebuilt client-side
-  std::uint64_t fec_wasted_symbols = 0;
-  std::uint64_t fec_erased_seen = 0;        // erasures FEC windows observed
   // ABR (http/media_client + video/abr): zeros when ABR is off.
   bool abr_enabled = false;
-  std::uint64_t abr_decisions = 0;
-  std::uint64_t abr_switches = 0;
-  std::uint64_t abr_switch_magnitude = 0;
   double abr_bitrate_utility = 0.0;  // frame-weighted chosen/top, [0,1]
   /// Per network path: bytes the server pushed down it.
   std::vector<std::uint64_t> path_down_bytes;
   /// Per network path: droptail high-water mark of the downlink queue --
   /// the congestion a paced sender avoids building (CC ablation bench).
   std::vector<std::uint64_t> path_peak_queue_bytes;
-  /// Structured per-session metrics (counters/gauges/histograms); derived
-  /// purely from the fields above plus connection stats, so it is
-  /// deterministic for a fixed seed. Day-level aggregation merges these in
+  /// Structured per-session metrics (counters/gauges/histograms), filled
+  /// by Session::fill_metrics and deterministic for a fixed seed: the only
+  /// home of counters such as "session.rebuffers" or
+  /// "quic.server.reinjected_bytes". Day-level aggregation merges these in
   /// session-index order (see harness/parallel.h).
   telemetry::MetricsRegistry metrics;
 };
@@ -159,6 +133,8 @@ class Session {
   void cm_probe();
   void sample_tick();
   bool finished() const;
+  /// Writes every session counter into result.metrics; a new counter is
+  /// one add_counter line here.
   void fill_metrics(SessionResult& result) const;
 
   SessionConfig config_;

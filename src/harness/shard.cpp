@@ -4,7 +4,9 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -165,8 +167,17 @@ void kv_u64(JsonWriter& w, const char* k, std::uint64_t v) {
   w.kv(k, std::to_string(v));
 }
 
+/// True if `x` is a whole number in [0, limit): the doubles that cast to
+/// an integer of that range without undefined behaviour or truncation.
+bool whole_below(double x, double limit) {
+  return x >= 0.0 && x < limit && x == std::floor(x);
+}
+
 std::uint64_t u64_from(const JsonValue& v, const std::string& what) {
-  if (v.is_number()) return static_cast<std::uint64_t>(v.number);
+  if (v.is_number()) {
+    if (!whole_below(v.number, 0x1p64)) fail("field '" + what + "' not a u64");
+    return static_cast<std::uint64_t>(v.number);
+  }
   if (!v.is_string()) fail("field '" + what + "' not a u64");
   errno = 0;
   char* end = nullptr;
@@ -211,9 +222,12 @@ bool parse_bool(const JsonValue& obj, const char* k) {
   return v->boolean;
 }
 
+/// Every int in a grid file is a count, so negatives are rejected too.
 int parse_int(const JsonValue& obj, const char* k) {
   const JsonValue* v = obj.get(k);
   if (!v || !v->is_number()) fail(std::string("missing int '") + k + "'");
+  if (!whole_below(v->number, 0x1p31))
+    fail(std::string("field '") + k + "' not a count");
   return static_cast<int>(v->number);
 }
 
@@ -401,8 +415,14 @@ telemetry::MetricsRegistry parse_registry(const JsonValue& v) {
     h.sum = parse_double(hv, "sum");
     h.min = parse_double(hv, "min");
     h.max = parse_double(hv, "max");
-    for (const auto& [idx, n] : parse_obj(hv, "buckets").object)
-      h.buckets[std::atoi(idx.c_str())] = u64_from(n, idx);
+    for (const auto& [idx, n] : parse_obj(hv, "buckets").object) {
+      int bucket = 0;
+      const char* end = idx.data() + idx.size();
+      const auto [ptr, ec] = std::from_chars(idx.data(), end, bucket);
+      if (ec != std::errc() || ptr != end)
+        fail("histogram '" + name + "' bucket '" + idx + "' not an int");
+      h.buckets[bucket] = u64_from(n, idx);
+    }
     m.restore_histogram(name, std::move(h));
   }
   return m;
@@ -418,14 +438,19 @@ void write_day_metrics(JsonWriter& w, const DayMetrics& d) {
   write_samples(w, d.startup_delay);
   kv_double(w, "rebuffer_rate", d.rebuffer_rate);
   kv_double(w, "redundancy_pct", d.redundancy_pct);
+  // unfinished_downloads and the abr_* totals repeat what the registry and
+  // abr_utility hold. They stay because the file format is pinned byte for
+  // byte; parse_day_metrics rejects a file whose copies disagree.
+  const telemetry::MetricsRegistry& m = d.metrics;
   w.kv("sessions", d.sessions);
-  w.kv("unfinished_downloads", d.unfinished_downloads);
+  w.kv("unfinished_downloads",
+       m.counter("session.count") - m.counter("session.downloads_finished"));
   w.key("abr_utility");
   write_samples(w, d.abr_utility);
-  kv_u64(w, "abr_decisions", d.abr_decisions);
-  kv_u64(w, "abr_switches", d.abr_switches);
-  kv_u64(w, "abr_switch_magnitude", d.abr_switch_magnitude);
-  w.kv("abr_sessions", d.abr_sessions);
+  kv_u64(w, "abr_decisions", m.counter("session.abr.decisions"));
+  kv_u64(w, "abr_switches", m.counter("session.abr.switches"));
+  kv_u64(w, "abr_switch_magnitude", m.counter("session.abr.switch_magnitude"));
+  w.kv("abr_sessions", static_cast<std::uint64_t>(d.abr_utility.count()));
   w.key("metrics");
   write_registry(w, d.metrics);
   w.end_object();
@@ -439,13 +464,24 @@ DayMetrics parse_day_metrics(const JsonValue& v) {
   d.rebuffer_rate = parse_double(v, "rebuffer_rate");
   d.redundancy_pct = parse_double(v, "redundancy_pct");
   d.sessions = parse_int(v, "sessions");
-  d.unfinished_downloads = parse_int(v, "unfinished_downloads");
   d.abr_utility = parse_samples(parse_arr(v, "abr_utility"));
-  d.abr_decisions = parse_u64(v, "abr_decisions");
-  d.abr_switches = parse_u64(v, "abr_switches");
-  d.abr_switch_magnitude = parse_u64(v, "abr_switch_magnitude");
-  d.abr_sessions = parse_int(v, "abr_sessions");
   d.metrics = parse_registry(parse_obj(v, "metrics"));
+  const telemetry::MetricsRegistry& m = d.metrics;
+  const auto expect = [](const char* k, std::uint64_t stored,
+                         std::uint64_t derived) {
+    if (stored != derived)
+      fail(std::string("field '") + k + "' is " + std::to_string(stored) +
+           " but the registry and samples give " + std::to_string(derived));
+  };
+  expect("unfinished_downloads", parse_int(v, "unfinished_downloads"),
+         m.counter("session.count") - m.counter("session.downloads_finished"));
+  expect("abr_decisions", parse_u64(v, "abr_decisions"),
+         m.counter("session.abr.decisions"));
+  expect("abr_switches", parse_u64(v, "abr_switches"),
+         m.counter("session.abr.switches"));
+  expect("abr_switch_magnitude", parse_u64(v, "abr_switch_magnitude"),
+         m.counter("session.abr.switch_magnitude"));
+  expect("abr_sessions", parse_int(v, "abr_sessions"), d.abr_utility.count());
   return d;
 }
 

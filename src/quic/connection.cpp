@@ -55,7 +55,10 @@ std::string ConnectionId::hex() const {
 }
 
 Connection::Connection(sim::EventLoop& loop, Config config)
-    : loop_(loop), config_(std::move(config)), aead_(config_.aead_key) {
+    : loop_(loop),
+      config_(std::move(config)),
+      aead_(config_.aead_key),
+      auditor_(config_.audit) {
   // CID sequence 0 for both directions exists from the start (handshake
   // CIDs); the peer's params arrive later but path 0's CIDs are implicit.
   local_cids_[0] = derive_cid(config_.role, 0, config_.cid_server_id);
@@ -74,10 +77,6 @@ Connection::Connection(sim::EventLoop& loop, Config config)
       fec_framer_ = std::make_unique<fec::FecFramer>(config_.fec);
     fec_recovered_scratch_.reserve(fec::kMaxRepairs);
   }
-  // The auditor's config gate ANDs with the environment so XLINK_AUDIT=0
-  // silences an audit-enabled build without recompiling.
-  config_.audit.enabled = config_.audit.enabled && audit_enabled_by_env();
-  auditor_ = InvariantAuditor(config_.audit);
 }
 
 Connection::~Connection() {
@@ -127,7 +126,7 @@ void Connection::send_close_frame(PathId path) {
 
 void Connection::close_with_error(TransportError code, ViolationKind kind,
                                   std::uint64_t observed, PathId path) {
-  if (!config_.budgets.enforce || closed_) return;
+  if (closed_) return;
   ++guard_.violations;
   XLINK_TRACE(config_.trace,
               telemetry::Event::guard_violation(
@@ -758,7 +757,7 @@ bool Connection::build_and_send(PathId path_id, std::vector<Frame>& frames,
   // times the bytes it received there -- otherwise a spoofed-source probe
   // turns this endpoint into a traffic amplifier. The packet number is not
   // consumed for a suppressed send.
-  if (config_.budgets.enforce && config_.role == Role::kServer &&
+  if (config_.role == Role::kServer &&
       path.state == PathState::State::kValidating &&
       path.bytes_sent + wire.size() >
           config_.budgets.amplification_factor * path.bytes_received) {
@@ -1021,8 +1020,7 @@ void Connection::on_datagram(PathId arrival_path, net::Datagram dgram) {
   const bool duplicate = already_received(path, pkt->header.packet_number);
   if (duplicate) {
     ++guard_.replayed_packets;
-    if (config_.budgets.enforce &&
-        guard_.replayed_packets > config_.budgets.max_replayed_packets) {
+    if (guard_.replayed_packets > config_.budgets.max_replayed_packets) {
       close_with_error(TransportError::kProtocolViolation,
                        ViolationKind::kReplayFlood, guard_.replayed_packets,
                        path_id);
@@ -1089,7 +1087,7 @@ void Connection::handle_frames(PathId path_id, PacketNumber /*pn*/,
                                const std::vector<Frame>& frames) {
   for (const Frame& frame : frames) {
     if (closed_) return;
-    if (config_.budgets.enforce && !frame_legal_in_state(frame)) {
+    if (!frame_legal_in_state(frame)) {
       close_with_error(TransportError::kProtocolViolation,
                        ViolationKind::kFrameIllegalInState,
                        static_cast<std::uint64_t>(frame.index()), path_id);
@@ -1167,8 +1165,7 @@ void Connection::handle_frames(PathId path_id, PacketNumber /*pn*/,
     } else if (const auto* f = std::get_if<NewConnectionIdFrame>(&frame)) {
       // An honest peer never issues beyond our advertised CID limit
       // (RFC 9000 §5.1.1); unbounded acceptance is a memory hole.
-      if (config_.budgets.enforce &&
-          f->sequence >= config_.params.active_connection_id_limit) {
+      if (f->sequence >= config_.params.active_connection_id_limit) {
         close_with_error(TransportError::kConnectionIdLimitError,
                          ViolationKind::kCidLimit, f->sequence, path_id);
         return;
@@ -1179,7 +1176,7 @@ void Connection::handle_frames(PathId path_id, PacketNumber /*pn*/,
       peer_cids_[cid.sequence] = cid;
     } else if (std::get_if<HandshakeDoneFrame>(&frame)) {
       // Only a server sends HANDSHAKE_DONE (RFC 9000 §19.20).
-      if (config_.budgets.enforce && config_.role == Role::kServer) {
+      if (config_.role == Role::kServer) {
         close_with_error(TransportError::kProtocolViolation,
                          ViolationKind::kFrameIllegalInState,
                          static_cast<std::uint64_t>(frame.index()), path_id);
@@ -1233,21 +1230,18 @@ void Connection::handle_crypto(PathId /*path_id*/, const CryptoFrame& f) {
 
 void Connection::handle_stream_frame(const StreamFrame& f) {
   const std::uint64_t new_high = f.offset + f.data.size();
-  if (config_.budgets.enforce) {
-    // Only client-initiated bidirectional ids exist in this transport
-    // (open_stream hands out 4n); any other shape is fabricated.
-    if ((f.stream_id & 0x3) != 0) {
-      close_with_error(TransportError::kStreamStateError,
-                       ViolationKind::kStreamIdInvalid, f.stream_id, 0);
-      return;
-    }
-    if (!recv_streams_.contains(f.stream_id) &&
-        recv_streams_.size() >= config_.budgets.max_open_recv_streams) {
-      close_with_error(TransportError::kStreamLimitError,
-                       ViolationKind::kStreamLimit, recv_streams_.size() + 1,
-                       0);
-      return;
-    }
+  // Only client-initiated bidirectional ids exist in this transport
+  // (open_stream hands out 4n); any other shape is fabricated.
+  if ((f.stream_id & 0x3) != 0) {
+    close_with_error(TransportError::kStreamStateError,
+                     ViolationKind::kStreamIdInvalid, f.stream_id, 0);
+    return;
+  }
+  if (!recv_streams_.contains(f.stream_id) &&
+      recv_streams_.size() >= config_.budgets.max_open_recv_streams) {
+    close_with_error(TransportError::kStreamLimitError,
+                     ViolationKind::kStreamLimit, recv_streams_.size() + 1, 0);
+    return;
   }
   auto it = recv_streams_.find(f.stream_id);
   if (it == recv_streams_.end()) {
@@ -1261,36 +1255,34 @@ void Connection::handle_stream_frame(const StreamFrame& f) {
   const std::uint64_t before = stream.contiguous_received();
   const std::uint64_t prev_high =
       std::max(stream.read_offset(), received_high_[f.stream_id]);
-  if (config_.budgets.enforce) {
-    // Final-size integrity (RFC 9000 §4.5): the FIN offset may not move and
-    // no data may lie beyond it.
-    if (stream.final_size()) {
-      const std::uint64_t fs = *stream.final_size();
-      if (new_high > fs || (f.fin && new_high != fs)) {
-        close_with_error(TransportError::kFinalSizeError,
-                         ViolationKind::kFinalSizeChanged, new_high, 0);
-        return;
-      }
-    }
-    // Flow control BEFORE the copy: an offset bomb must not be able to
-    // force a giant reassembly-buffer resize.
-    const auto grant_it = local_max_stream_data_.find(f.stream_id);
-    const std::uint64_t stream_grant =
-        grant_it != local_max_stream_data_.end() && grant_it->second > 0
-            ? grant_it->second
-            : config_.params.initial_max_stream_data;
-    if (new_high > stream_grant) {
-      close_with_error(TransportError::kFlowControlError,
-                       ViolationKind::kStreamFlowControl, new_high, 0);
+  // Final-size integrity (RFC 9000 §4.5): the FIN offset may not move and
+  // no data may lie beyond it.
+  if (stream.final_size()) {
+    const std::uint64_t fs = *stream.final_size();
+    if (new_high > fs || (f.fin && new_high != fs)) {
+      close_with_error(TransportError::kFinalSizeError,
+                       ViolationKind::kFinalSizeChanged, new_high, 0);
       return;
     }
-    if (new_high > prev_high &&
-        data_received_ + (new_high - prev_high) > local_max_data_) {
-      close_with_error(TransportError::kFlowControlError,
-                       ViolationKind::kConnectionFlowControl,
-                       data_received_ + (new_high - prev_high), 0);
-      return;
-    }
+  }
+  // Flow control BEFORE the copy: an offset bomb must not be able to
+  // force a giant reassembly-buffer resize.
+  const auto grant_it = local_max_stream_data_.find(f.stream_id);
+  const std::uint64_t stream_grant =
+      grant_it != local_max_stream_data_.end() && grant_it->second > 0
+          ? grant_it->second
+          : config_.params.initial_max_stream_data;
+  if (new_high > stream_grant) {
+    close_with_error(TransportError::kFlowControlError,
+                     ViolationKind::kStreamFlowControl, new_high, 0);
+    return;
+  }
+  if (new_high > prev_high &&
+      data_received_ + (new_high - prev_high) > local_max_data_) {
+    close_with_error(TransportError::kFlowControlError,
+                     ViolationKind::kConnectionFlowControl,
+                     data_received_ + (new_high - prev_high), 0);
+    return;
   }
 
   const std::uint64_t collapses_before = stream.gap_collapses();
@@ -1330,25 +1322,23 @@ double Connection::path_loss_estimate(const PathState& p) const {
 
 void Connection::handle_repair_frame(PathId path_id, const RepairFrame& f) {
   ++guard_.repair_frames;
-  if (config_.budgets.enforce) {
-    // A REPAIR bomb: an honest symbol is bounded by the sealed MTU plus its
-    // 2-byte length prefix, and each symbol travels in its own packet.
-    if (f.payload.size() > config_.budgets.max_repair_symbol_bytes) {
-      close_with_error(TransportError::kProtocolViolation,
-                       ViolationKind::kRepairOversized, f.payload.size(),
-                       path_id);
-      return;
-    }
-    const std::uint64_t allowance =
-        config_.budgets.repair_flood_base +
-        config_.budgets.repair_flood_per_packet_received *
-            stats_.packets_received;
-    if (guard_.repair_frames > allowance) {
-      close_with_error(TransportError::kProtocolViolation,
-                       ViolationKind::kRepairFlood, guard_.repair_frames,
-                       path_id);
-      return;
-    }
+  // A REPAIR bomb: an honest symbol is bounded by the sealed MTU plus its
+  // 2-byte length prefix, and each symbol travels in its own packet.
+  if (f.payload.size() > config_.budgets.max_repair_symbol_bytes) {
+    close_with_error(TransportError::kProtocolViolation,
+                     ViolationKind::kRepairOversized, f.payload.size(),
+                     path_id);
+    return;
+  }
+  const std::uint64_t allowance =
+      config_.budgets.repair_flood_base +
+      config_.budgets.repair_flood_per_packet_received *
+          stats_.packets_received;
+  if (guard_.repair_frames > allowance) {
+    close_with_error(TransportError::kProtocolViolation,
+                     ViolationKind::kRepairFlood, guard_.repair_frames,
+                     path_id);
+    return;
   }
   if (!fec_recovery_) return;
   fec_recovered_scratch_.clear();
@@ -1387,25 +1377,22 @@ void Connection::handle_ack_info(PathId acked_path, const AckInfo& info) {
   PathState& p = *pit->second;
 
   ++guard_.ack_frames;
-  if (config_.budgets.enforce) {
-    // Lying ACK: acknowledging a packet number this path never sent.
-    if (!info.ranges.empty() && info.largest_acked() >= p.next_pn) {
-      close_with_error(TransportError::kProtocolViolation,
-                       ViolationKind::kLyingAck, info.largest_acked(),
-                       acked_path);
-      return;
-    }
-    // Ack flood: honest peers generate well under one ack frame per packet
-    // we send; a flood is pure CPU/state pressure.
-    const std::uint64_t allowance =
-        config_.budgets.ack_flood_base +
-        config_.budgets.ack_flood_per_packet_sent * stats_.packets_sent;
-    if (guard_.ack_frames > allowance) {
-      close_with_error(TransportError::kProtocolViolation,
-                       ViolationKind::kAckFlood, guard_.ack_frames,
-                       acked_path);
-      return;
-    }
+  // Lying ACK: acknowledging a packet number this path never sent.
+  if (!info.ranges.empty() && info.largest_acked() >= p.next_pn) {
+    close_with_error(TransportError::kProtocolViolation,
+                     ViolationKind::kLyingAck, info.largest_acked(),
+                     acked_path);
+    return;
+  }
+  // Ack flood: honest peers generate well under one ack frame per packet
+  // we send; a flood is pure CPU/state pressure.
+  const std::uint64_t allowance =
+      config_.budgets.ack_flood_base +
+      config_.budgets.ack_flood_per_packet_sent * stats_.packets_sent;
+  if (guard_.ack_frames > allowance) {
+    close_with_error(TransportError::kProtocolViolation,
+                     ViolationKind::kAckFlood, guard_.ack_frames, acked_path);
+    return;
   }
 
   auto outcome = p.loss.on_ack_received(info, loop_.now(), p.rtt);

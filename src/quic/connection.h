@@ -205,13 +205,11 @@ class Connection {
     fec::FecConfig fec;
 
     /// Hostile-peer hardening: per-connection resource budgets consulted
-    /// at every peer-driven allocation point (guard.h). `budgets.enforce =
-    /// false` reproduces the pre-guard permissive transport.
+    /// at every peer-driven allocation point (guard.h).
     ResourceBudgets budgets;
 
-    /// Invariant auditor; `audit.enabled` is additionally ANDed with
-    /// audit_enabled_by_env() at construction, so XLINK_AUDIT=0 silences
-    /// it without a rebuild.
+    /// Invariant auditor tuning; whether it runs is decided by the
+    /// XLINK_AUDIT build option and environment variable (guard.h).
     InvariantAuditor::Config audit;
 
     /// Token-bucket pacing of scheduler-driven data sends. Off by default:
@@ -422,8 +420,8 @@ class Connection {
 
   // Guard machinery.
   /// Records the violation (trace + counters) and escalates to a graceful
-  /// CONNECTION_CLOSE with the given transport error code. No-op when
-  /// budgets.enforce is off or the connection is already terminating.
+  /// CONNECTION_CLOSE with the given transport error code. No-op when the
+  /// connection is already terminating.
   void close_with_error(TransportError code, ViolationKind kind,
                         std::uint64_t observed, PathId path);
   /// True if `frame` may legally arrive in the current connection state

@@ -73,10 +73,6 @@ const char* violation_kind_name(ViolationKind kind);
 /// can force this endpoint to hold; the defaults leave an order of
 /// magnitude of headroom over anything honest traffic produces.
 struct ResourceBudgets {
-  /// Master switch: off records nothing and closes nothing (the pre-guard
-  /// permissive transport, kept for ablations).
-  bool enforce = true;
-
   /// Open receive streams a peer may create.
   std::uint64_t max_open_recv_streams = 1024;
 
@@ -139,14 +135,18 @@ struct AuditFailure {
   std::uint64_t actual = 0;
 };
 
+/// The auditor's runtime switch: true unless the XLINK_AUDIT environment
+/// variable is set to "0", "off" or "false". (The build-time switch,
+/// -DXLINK_AUDIT=OFF, compiles the hooks out; see the end of this file.)
+bool audit_enabled_by_env();
+
 /// Re-derives cross-layer invariants from first principles and compares
 /// with the incrementally maintained state. One instance per connection
-/// (it keeps monotonicity snapshots between ticks).
+/// (it keeps monotonicity snapshots between ticks). Enabled exactly when
+/// audit_enabled_by_env() was true at construction.
 class InvariantAuditor {
  public:
   struct Config {
-    /// Runtime gate; defaults to audit_enabled_by_env().
-    bool enabled = true;
     /// Outstanding pooled-buffer debt (acquires - releases) tolerated on
     /// this thread before the auditor calls it a leak.
     std::uint64_t max_pool_debt_slots = 1u << 16;
@@ -155,11 +155,10 @@ class InvariantAuditor {
     std::function<void(const Connection&, const AuditFailure&)> on_failure;
   };
 
-  InvariantAuditor() = default;
-  explicit InvariantAuditor(Config cfg) : cfg_(std::move(cfg)) {}
+  explicit InvariantAuditor(Config cfg)
+      : cfg_(std::move(cfg)), enabled_(audit_enabled_by_env()) {}
 
-  bool enabled() const { return cfg_.enabled; }
-  void set_enabled(bool on) { cfg_.enabled = on; }
+  bool enabled() const { return enabled_; }
   void set_on_failure(
       std::function<void(const Connection&, const AuditFailure&)> fn) {
     cfg_.on_failure = std::move(fn);
@@ -182,6 +181,7 @@ class InvariantAuditor {
   void fail(const Connection& conn, AuditFailure f);
 
   Config cfg_;
+  bool enabled_;
   std::uint64_t ticks_ = 0;
   std::uint64_t checks_ = 0;
   std::uint64_t failures_ = 0;
@@ -198,10 +198,6 @@ class InvariantAuditor {
   std::uint64_t pool_last_acquires_ = 0;
   std::uint64_t pool_last_releases_ = 0;
 };
-
-/// Runtime default for InvariantAuditor::Config::enabled: true unless the
-/// XLINK_AUDIT environment variable is set to "0", "off" or "false".
-bool audit_enabled_by_env();
 
 }  // namespace xlink::quic
 

@@ -172,10 +172,9 @@ TEST(AbrSession, RunsAndReportsDecisions) {
   EXPECT_TRUE(r.video_finished);
   EXPECT_TRUE(r.download_finished);
   // One decision per second of video at 30fps chunks.
-  EXPECT_EQ(r.abr_decisions, 6u);
+  EXPECT_EQ(r.metrics.counter("session.abr.decisions"), 6u);
   EXPECT_GT(r.abr_bitrate_utility, 0.0);
   EXPECT_LE(r.abr_bitrate_utility, 1.0);
-  EXPECT_EQ(r.metrics.counter("session.abr.decisions"), r.abr_decisions);
 }
 
 TEST(AbrSession, DeterministicAcrossRuns) {
@@ -185,8 +184,12 @@ TEST(AbrSession, DeterministicAcrossRuns) {
     harness::Session b(abr_session_config(algo, 23));
     const auto ra = a.run();
     const auto rb = b.run();
-    EXPECT_EQ(ra.abr_decisions, rb.abr_decisions) << to_string(algo);
-    EXPECT_EQ(ra.abr_switches, rb.abr_switches) << to_string(algo);
+    EXPECT_EQ(ra.metrics.counter("session.abr.decisions"),
+              rb.metrics.counter("session.abr.decisions"))
+        << to_string(algo);
+    EXPECT_EQ(ra.metrics.counter("session.abr.switches"),
+              rb.metrics.counter("session.abr.switches"))
+        << to_string(algo);
     EXPECT_DOUBLE_EQ(ra.abr_bitrate_utility, rb.abr_bitrate_utility)
         << to_string(algo);
     EXPECT_DOUBLE_EQ(ra.rebuffer_rate, rb.rebuffer_rate) << to_string(algo);
@@ -198,7 +201,7 @@ TEST(AbrSession, FixedModeLeavesLegacyPathUntouched) {
   harness::Session session(std::move(cfg));
   const auto r = session.run();
   EXPECT_FALSE(r.abr_enabled);
-  EXPECT_EQ(r.abr_decisions, 0u);
+  EXPECT_EQ(r.metrics.counter("session.abr.decisions"), 0u);
   EXPECT_TRUE(r.video_finished);
   EXPECT_EQ(session.media_client().contiguous_bytes(),
             session.video_model().total_bytes());

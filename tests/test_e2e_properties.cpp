@@ -150,7 +150,7 @@ TEST(E2eOutage, XlinkShortensStallVsVanilla) {
   EXPECT_TRUE(vanilla.download_finished);
   EXPECT_TRUE(xlink.download_finished);
   EXPECT_LE(xlink.rebuffer_seconds, vanilla.rebuffer_seconds);
-  EXPECT_GT(xlink.reinjected_bytes, 0u);
+  EXPECT_GT(xlink.metrics.counter("quic.server.reinjected_bytes"), 0u);
 }
 
 }  // namespace

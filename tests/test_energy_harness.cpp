@@ -107,8 +107,10 @@ TEST(Harness, SessionsAreDeterministic) {
   const auto rb = b.run();
   EXPECT_EQ(ra.chunk_rct_seconds, rb.chunk_rct_seconds);
   EXPECT_EQ(ra.first_frame_seconds, rb.first_frame_seconds);
-  EXPECT_EQ(ra.server_wire_bytes, rb.server_wire_bytes);
-  EXPECT_EQ(ra.reinjected_bytes, rb.reinjected_bytes);
+  EXPECT_EQ(ra.metrics.counter("quic.server.bytes_sent"),
+            rb.metrics.counter("quic.server.bytes_sent"));
+  EXPECT_EQ(ra.metrics.counter("quic.server.reinjected_bytes"),
+            rb.metrics.counter("quic.server.reinjected_bytes"));
 }
 
 TEST(Harness, WirelessAwarePrimaryReordersPaths) {

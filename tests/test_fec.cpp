@@ -470,12 +470,14 @@ harness::SessionConfig fec_session_config(std::uint64_t seed) {
 TEST(FecSession, RecoversErasuresEndToEndUnderBurstLoss) {
   const auto result = harness::Session(fec_session_config(3)).run();
   EXPECT_TRUE(result.download_finished);
-  EXPECT_GT(result.fec_windows_protected, 0u);
-  EXPECT_GT(result.fec_repair_packets, 0u);
-  EXPECT_GT(result.fec_repair_bytes, 0u);
-  EXPECT_GT(result.fec_erased_seen, 0u);
-  EXPECT_GT(result.fec_recovered_packets, 0u);
-  EXPECT_LE(result.fec_recovered_packets, result.fec_erased_seen);
+  const auto& m = result.metrics;
+  EXPECT_GT(m.counter("fec.server.windows_protected"), 0u);
+  EXPECT_GT(m.counter("fec.server.repair_packets"), 0u);
+  EXPECT_GT(m.counter("fec.server.repair_bytes"), 0u);
+  EXPECT_GT(m.counter("fec.client.erased_seen"), 0u);
+  EXPECT_GT(m.counter("fec.client.recovered_packets"), 0u);
+  EXPECT_LE(m.counter("fec.client.recovered_packets"),
+            m.counter("fec.client.erased_seen"));
   // FEC repair bytes count as redundancy egress.
   EXPECT_GT(result.redundancy_ratio, 0.0);
 }
@@ -484,22 +486,21 @@ TEST(FecSession, IsDeterministicForAFixedSeed) {
   const auto a = harness::Session(fec_session_config(5)).run();
   const auto b = harness::Session(fec_session_config(5)).run();
   EXPECT_EQ(a.chunk_rct_seconds, b.chunk_rct_seconds);
-  EXPECT_EQ(a.fec_repair_bytes, b.fec_repair_bytes);
-  EXPECT_EQ(a.fec_repair_packets, b.fec_repair_packets);
-  EXPECT_EQ(a.fec_windows_protected, b.fec_windows_protected);
-  EXPECT_EQ(a.fec_recovered_packets, b.fec_recovered_packets);
-  EXPECT_EQ(a.fec_wasted_symbols, b.fec_wasted_symbols);
-  EXPECT_EQ(a.fec_erased_seen, b.fec_erased_seen);
-  EXPECT_EQ(a.server_wire_bytes, b.server_wire_bytes);
+  for (const char* name :
+       {"fec.server.repair_bytes", "fec.server.repair_packets",
+        "fec.server.windows_protected", "fec.client.recovered_packets",
+        "fec.client.wasted_symbols", "fec.client.erased_seen",
+        "quic.server.bytes_sent"})
+    EXPECT_EQ(a.metrics.counter(name), b.metrics.counter(name)) << name;
 }
 
 TEST(FecSession, NoFecArmSendsNoRepairTraffic) {
   auto cfg = fec_session_config(3);
   cfg.options.xlink_redundancy = core::XlinkRedundancy::kReinject;
   const auto result = harness::Session(std::move(cfg)).run();
-  EXPECT_EQ(result.fec_repair_packets, 0u);
-  EXPECT_EQ(result.fec_repair_bytes, 0u);
-  EXPECT_EQ(result.fec_recovered_packets, 0u);
+  EXPECT_EQ(result.metrics.counter("fec.server.repair_packets"), 0u);
+  EXPECT_EQ(result.metrics.counter("fec.server.repair_bytes"), 0u);
+  EXPECT_EQ(result.metrics.counter("fec.client.recovered_packets"), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -507,12 +508,12 @@ TEST(FecSession, NoFecArmSendsNoRepairTraffic) {
 
 TEST(FoldDay, RedundancyPctFoldsFecRepairBytesInWithReinjection) {
   harness::SessionResult r1;
-  r1.stream_payload_bytes = 1000;
-  r1.reinjected_bytes = 50;
-  r1.fec_repair_bytes = 150;
+  r1.metrics.add_counter("quic.server.stream_bytes_sent", 1000);
+  r1.metrics.add_counter("quic.server.reinjected_bytes", 50);
+  r1.metrics.add_counter("fec.server.repair_bytes", 150);
   r1.download_finished = true;
   harness::SessionResult r2;
-  r2.stream_payload_bytes = 1000;
+  r2.metrics.add_counter("quic.server.stream_bytes_sent", 1000);
   r2.download_finished = true;
   const auto day = harness::fold_day({r1, r2});
   // (50 reinjected + 150 repair) / 2000 payload = 10%; before the fix this

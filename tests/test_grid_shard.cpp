@@ -203,7 +203,8 @@ TEST(GridShardFile, CellResultRoundTripsBitExact) {
     EXPECT_EQ(run.arm_a.rebuffer_rate, back.arm_a.rebuffer_rate);
     EXPECT_EQ(run.arm_a.redundancy_pct, back.arm_a.redundancy_pct);
     EXPECT_EQ(run.arm_a.sessions, back.arm_a.sessions);
-    EXPECT_EQ(run.arm_a.unfinished_downloads, back.arm_a.unfinished_downloads);
+    EXPECT_EQ(run.arm_a.metrics.counter("session.downloads_finished"),
+              back.arm_a.metrics.counter("session.downloads_finished"));
     // The registry compares exactly: counters, gauges, histogram buckets.
     EXPECT_EQ(run.arm_a.metrics, back.arm_a.metrics);
     if (cell.ab) {
@@ -215,6 +216,111 @@ TEST(GridShardFile, CellResultRoundTripsBitExact) {
   }
   EXPECT_THROW(parse_cell_result("{\"xlink_grid_manifest\": 1}"),
                std::runtime_error);
+}
+
+// ------------------------------------------------- shard parser rejections
+//
+// Shards and manifests are read from files other processes wrote, so the
+// parser must reject every malformed value with a "shard:" error rather
+// than cast it, truncate it, or read it as something else.
+
+/// A hand-built one-arm shard whose day totals are all nonzero, so each
+/// total the parser cross-checks against the registry can disagree.
+std::string sample_shard() {
+  CellResult r;
+  r.arm_a.sessions = 2;
+  r.arm_a.abr_utility.add_all({0.5, 0.75});
+  r.arm_a.metrics.add_counter("session.count", 2);
+  r.arm_a.metrics.add_counter("session.downloads_finished", 1);
+  r.arm_a.metrics.add_counter("session.abr.decisions", 7);
+  r.arm_a.metrics.add_counter("session.abr.switches", 3);
+  r.arm_a.metrics.add_counter("session.abr.switch_magnitude", 4);
+  r.arm_a.metrics.observe("session.chunk_rct_seconds", 0.25);  // bucket -2
+  std::ostringstream os;
+  write_cell_result(GridCell{}, r, os);
+  return os.str();
+}
+
+/// Replaces the only `from` in `text` with `to` and expects `parse` to
+/// reject the result with a "shard: " error.
+template <typename Parse>
+void expect_rejected(Parse parse, std::string text, const std::string& from,
+                     const std::string& to) {
+  const auto at = text.find(from);
+  ASSERT_NE(at, std::string::npos) << from;
+  ASSERT_EQ(text.find(from, at + 1), std::string::npos) << from;
+  text.replace(at, from.size(), to);
+  try {
+    parse(text);
+    ADD_FAILURE() << "accepted " << to;
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("shard: ", 0), 0u) << e.what();
+  }
+}
+
+void expect_bad_shard(const std::string& from, const std::string& to) {
+  expect_rejected(parse_cell_result, sample_shard(), from, to);
+}
+
+TEST(ShardParser, SampleShardRoundTripsByteIdentically) {
+  const std::string text = sample_shard();
+  std::ostringstream os;
+  write_cell_result(GridCell{}, parse_cell_result(text), os);
+  EXPECT_EQ(os.str(), text);
+}
+
+TEST(ShardParser, RejectsNegativeIntegers) {
+  expect_bad_shard("\"sessions\": 2", "\"sessions\": -1");
+  expect_bad_shard("\"session.count\": \"2\"", "\"session.count\": -1");
+}
+
+TEST(ShardParser, RejectsOutOfRangeIntegers) {
+  GridSpec spec;
+  spec.cells.resize(1);
+  spec.cells[0].day_seed = 7101;
+  std::ostringstream os;
+  write_manifest(spec, os);
+  expect_rejected(parse_manifest, os.str(), "\"day_seed\": \"7101\"",
+                  "\"day_seed\": 1e300");
+  expect_bad_shard("\"sessions\": 2", "\"sessions\": 1e300");
+  expect_bad_shard("\"session.count\": \"2\"",
+                   "\"session.count\": 18446744073709551616");
+}
+
+TEST(ShardParser, RejectsFractionalIntegers) {
+  expect_bad_shard("\"sessions\": 2", "\"sessions\": 2.5");
+  expect_bad_shard("\"session.count\": \"2\"", "\"session.count\": 2.5");
+}
+
+TEST(ShardParser, RejectsNonNumericHistogramBuckets) {
+  expect_bad_shard("\"-2\": \"1\"", "\"x\": \"1\"");
+  expect_bad_shard("\"-2\": \"1\"", "\"-2x\": \"1\"");
+  expect_bad_shard("\"-2\": \"1\"", "\"\": \"1\"");
+}
+
+// Each day total the file repeats must agree with the registry and samples
+// it is derived from.
+
+TEST(ShardParser, RejectsUnfinishedDownloadsThatDisagreeWithRegistry) {
+  expect_bad_shard("\"unfinished_downloads\": 1",
+                   "\"unfinished_downloads\": 0");
+}
+
+TEST(ShardParser, RejectsAbrDecisionsThatDisagreeWithRegistry) {
+  expect_bad_shard("\"abr_decisions\": \"7\"", "\"abr_decisions\": \"8\"");
+}
+
+TEST(ShardParser, RejectsAbrSwitchesThatDisagreeWithRegistry) {
+  expect_bad_shard("\"abr_switches\": \"3\"", "\"abr_switches\": \"4\"");
+}
+
+TEST(ShardParser, RejectsAbrSwitchMagnitudeThatDisagreesWithRegistry) {
+  expect_bad_shard("\"abr_switch_magnitude\": \"4\"",
+                   "\"abr_switch_magnitude\": \"5\"");
+}
+
+TEST(ShardParser, RejectsAbrSessionsThatDisagreeWithUtilitySamples) {
+  expect_bad_shard("\"abr_sessions\": 2", "\"abr_sessions\": 3");
 }
 
 // The headline contract, straight from the acceptance criteria: merge of a

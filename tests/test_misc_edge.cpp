@@ -93,7 +93,8 @@ TEST(HarnessEdge, TimeLimitCensorsDeadNetwork) {
   harness::Session session(std::move(cfg));
   const auto result = session.run();
   EXPECT_FALSE(result.download_finished);
-  EXPECT_EQ(result.chunks_completed, 0u);
+  EXPECT_EQ(result.metrics.counter("session.chunks_completed"), 0u);
+  EXPECT_GT(result.metrics.counter("session.chunks_total"), 0u);
   EXPECT_FALSE(result.chunk_rct_seconds.empty());  // censored entries
   for (double t : result.chunk_rct_seconds) EXPECT_LE(t, 5.1);
 }

@@ -41,7 +41,8 @@ TEST_P(SchemeSmoke, DownloadsAndPlaysVideo) {
   EXPECT_GT(*result.first_frame_seconds, 0.0);
   EXPECT_LT(*result.first_frame_seconds, 5.0);
   EXPECT_EQ(session.media_client().content_mismatches(), 0u);
-  EXPECT_GT(result.stream_payload_bytes, 900'000u);
+  EXPECT_GT(result.metrics.counter("quic.server.stream_bytes_sent"),
+            900'000u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

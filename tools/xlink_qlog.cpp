@@ -10,6 +10,7 @@
 //
 // --demo doubles as the subsystem's end-to-end smoke test (wired into
 // ctest): session -> TraceSink -> qlog file -> parser -> analyzer.
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -59,10 +60,13 @@ bool write_demo_trace(const std::string& path) {
 
   harness::Session session(std::move(cfg));
   const auto result = session.run();
-  std::printf("demo session: %zu/%zu chunks, %u rebuffer(s), wrote %s\n",
-              result.chunks_completed, result.chunks_total,
-              result.rebuffer_count, path.c_str());
-  return result.chunks_completed > 0;
+  const auto& m = result.metrics;
+  const std::uint64_t completed = m.counter("session.chunks_completed");
+  std::printf("demo session: %" PRIu64 "/%" PRIu64 " chunks, %" PRIu64
+              " rebuffer(s), wrote %s\n",
+              completed, m.counter("session.chunks_total"),
+              m.counter("session.rebuffers"), path.c_str());
+  return completed > 0;
 }
 
 }  // namespace
