@@ -142,11 +142,13 @@ void MediaClient::on_readable(quic::StreamId id) {
       const std::uint64_t end_off = stream->read_offset();
       const std::uint64_t start_off = end_off - data.size();
       // Content bytes depend only on offset and seed, which all
-      // renditions share, so model_.byte_at verifies any rendition.
+      // renditions share, so model_ verifies any rendition.
       const std::uint64_t base = metrics_[*chunk].begin;
-      for (std::uint64_t i = 0; i < data.size(); ++i) {
-        if (data[i] != model_.byte_at(base + start_off + i))
-          ++content_mismatches_;
+      content_scratch_.resize(data.size());
+      model_.fill(base + start_off, content_scratch_);
+      if (data != content_scratch_) {
+        for (std::size_t i = 0; i < data.size(); ++i)
+          content_mismatches_ += data[i] != content_scratch_[i];
       }
     }
   }

@@ -157,6 +157,7 @@ class MediaClient {
   std::size_t completed_ = 0;
   std::optional<sim::Time> all_done_at_;
   std::uint64_t content_mismatches_ = 0;
+  std::vector<std::uint8_t> content_scratch_;  // expected bytes (verify)
   bool started_ = false;
 };
 

@@ -38,8 +38,7 @@ void MediaServer::serve(quic::StreamId id, const RangeRequest& req) {
   const std::uint64_t end = std::min(req.end, model.total_bytes());
 
   std::vector<std::uint8_t> body(end - begin);
-  for (std::uint64_t i = 0; i < body.size(); ++i)
-    body[i] = model.byte_at(begin + i);
+  model.fill(begin, body);
 
   ++requests_served_;
   bytes_served_ += body.size();

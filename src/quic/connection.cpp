@@ -389,9 +389,7 @@ void Connection::stream_send_prioritized(StreamId id,
   const std::uint64_t end = offset + len;
   while (cursor < end) {
     const int prio = stream.frame_priority_at(cursor);
-    std::uint64_t run_end = cursor + 1;
-    while (run_end < end && stream.frame_priority_at(run_end) == prio)
-      ++run_end;
+    const std::uint64_t run_end = stream.frame_priority_run_end(cursor, end);
     SendItem item;
     item.stream_id = id;
     item.offset = cursor;
@@ -1765,27 +1763,27 @@ std::vector<std::uint8_t> Connection::consume_stream(StreamId id,
   if (it == recv_streams_.end()) return {};
   auto data = it->second.read(max);
   data_consumed_ += data.size();
-  maybe_send_flow_updates();
+  maybe_send_flow_updates(id, it->second);
   return data;
 }
 
-void Connection::maybe_send_flow_updates() {
+void Connection::maybe_send_flow_updates(StreamId id,
+                                         const RecvStream& stream) {
   // Connection level: extend when half the window is consumed.
   const std::uint64_t window = config_.params.initial_max_data;
   if (local_max_data_ - data_consumed_ < window / 2) {
     local_max_data_ = data_consumed_ + window;
     queue_control(fastest_active_path(), Frame{MaxDataFrame{local_max_data_}});
   }
-  // Stream level.
+  // Stream level: only the stream just read has moved its read offset
+  // since its grant was last checked.
   const std::uint64_t stream_window = config_.params.initial_max_stream_data;
-  for (auto& [id, stream] : recv_streams_) {
-    auto& granted = local_max_stream_data_[id];
-    if (granted == 0) granted = stream_window;
-    if (granted - stream.read_offset() < stream_window / 2) {
-      granted = stream.read_offset() + stream_window;
-      queue_control(fastest_active_path(),
-                    Frame{MaxStreamDataFrame{id, granted}});
-    }
+  auto& granted = local_max_stream_data_[id];
+  if (granted == 0) granted = stream_window;
+  if (granted - stream.read_offset() < stream_window / 2) {
+    granted = stream.read_offset() + stream_window;
+    queue_control(fastest_active_path(),
+                  Frame{MaxStreamDataFrame{id, granted}});
   }
   pump();
 }

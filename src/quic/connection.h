@@ -482,7 +482,7 @@ class Connection {
   PathState& create_path(PathId id, PathState::State state);
   void issue_connection_ids();
   void queue_control(PathId path, Frame frame);
-  void maybe_send_flow_updates();
+  void maybe_send_flow_updates(StreamId id, const RecvStream& stream);
 
   // Handshake helpers.
   void send_handshake_initial();

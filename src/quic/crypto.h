@@ -1,8 +1,9 @@
 // Packet protection with the multipath nonce construction.
 //
 // Real QUIC uses AES-GCM/ChaCha20-Poly1305; the cryptography itself is
-// irrelevant to transport behaviour, so we use a toy AEAD (a 64-bit PRF
-// keystream plus an 8-byte MAC over header and ciphertext). What we keep
+// irrelevant to transport behaviour, so we use a toy AEAD that works on
+// 8-byte words: a counter-mode PRF keystream and a two-lane 8-byte MAC over
+// header and ciphertext, both keyed by a per-packet seed. What we keep
 // EXACTLY as the draft specifies is the nonce: a 96-bit
 // path-and-packet-number -- the 32-bit CID sequence number, two zero bits,
 // and the 62-bit packet number -- left-padded to IV size and XORed with the
@@ -67,11 +68,9 @@ class PacketProtection {
   std::uint64_t key() const { return key_; }
 
  private:
-  Nonce effective_nonce(std::uint32_t cid_sequence, PacketNumber pn) const;
-  void apply_keystream(const Nonce& nonce, std::uint8_t* data,
-                       std::size_t len) const;
-  std::uint64_t mac(const Nonce& nonce, std::span<const std::uint8_t> aad,
-                    std::span<const std::uint8_t> ciphertext) const;
+  /// Folds the key and the full 96-bit effective nonce into one word that
+  /// keys both the keystream and the MAC of one packet.
+  std::uint64_t packet_seed(std::uint32_t cid_sequence, PacketNumber pn) const;
 
   std::uint64_t key_;
   // Per-connection IV derived from the key once (fixed derivation).

@@ -23,6 +23,21 @@ int SendStream::frame_priority_at(std::uint64_t offset) const {
   return best;
 }
 
+std::uint64_t SendStream::frame_priority_run_end(std::uint64_t offset,
+                                                 std::uint64_t limit) const {
+  const int priority = frame_priority_at(offset);
+  for (std::uint64_t at = offset;;) {
+    std::uint64_t next = limit;
+    for (const auto& r : frame_priorities_) {
+      if (r.begin > at) next = std::min(next, r.begin);
+      if (r.end > at) next = std::min(next, r.end);
+    }
+    if (next >= limit) return limit;
+    if (frame_priority_at(next) != priority) return next;
+    at = next;
+  }
+}
+
 std::vector<std::uint8_t> SendStream::read_range(std::uint64_t offset,
                                                  std::size_t len) const {
   const auto view = view_range(offset, len);

@@ -44,6 +44,13 @@ class SendStream {
   /// Video-frame priority of the byte at `offset` (0 = default).
   int frame_priority_at(std::uint64_t offset) const;
 
+  /// End of the equal-priority run that starts at `offset`: the first
+  /// byte in (offset, limit) whose frame_priority_at differs from
+  /// offset's, else `limit`. Priorities change only at range boundaries,
+  /// so only those are probed.
+  std::uint64_t frame_priority_run_end(std::uint64_t offset,
+                                       std::uint64_t limit) const;
+
   /// Stream-level priority; smaller stream ids default to higher priority
   /// (earlier chunks of a video play first). Higher value wins.
   int priority() const { return priority_; }

@@ -1,6 +1,7 @@
 #include "quic/varint.h"
 
 #include <cstdio>
+#include <cstring>
 
 namespace xlink::quic {
 
@@ -80,7 +81,7 @@ void BufWriter::u32(std::uint32_t v) {
 
 void BufWriter::bytes(std::span<const std::uint8_t> data) {
   if (!fits(data.size())) return;
-  for (std::size_t i = 0; i < data.size(); ++i) data_[pos_ + i] = data[i];
+  if (!data.empty()) std::memcpy(data_ + pos_, data.data(), data.size());
   pos_ += data.size();
 }
 
@@ -124,7 +125,7 @@ std::optional<std::span<const std::uint8_t>> Reader::view(std::size_t n) {
 
 bool Reader::bytes_into(std::span<std::uint8_t> out) {
   if (remaining() < out.size()) return false;
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = data_[pos_ + i];
+  if (!out.empty()) std::memcpy(out.data(), data_.data() + pos_, out.size());
   pos_ += out.size();
   return true;
 }

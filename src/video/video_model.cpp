@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sim/bytes.h"
 #include "sim/rng.h"
 
 namespace xlink::video {
@@ -36,12 +37,32 @@ std::uint32_t VideoModel::frames_in_prefix(std::uint64_t bytes) const {
   return static_cast<std::uint32_t>(it - (frame_offsets_.begin() + 1));
 }
 
-std::uint8_t VideoModel::byte_at(std::uint64_t offset) const {
-  std::uint64_t x = offset ^ (spec_.seed * 0x9e3779b97f4a7c15ULL);
+namespace {
+
+/// Content word `index` (bytes 8*index .. 8*index + 7) of a video.
+std::uint64_t content_word(std::uint64_t seed, std::uint64_t index) {
+  std::uint64_t x = index ^ (seed * 0x9e3779b97f4a7c15ULL);
   x ^= x >> 33;
   x *= 0xff51afd7ed558ccdULL;
   x ^= x >> 33;
-  return static_cast<std::uint8_t>(x);
+  return x;
+}
+
+}  // namespace
+
+std::uint8_t VideoModel::byte_at(std::uint64_t offset) const {
+  return static_cast<std::uint8_t>(content_word(spec_.seed, offset / 8) >>
+                                   (8 * (offset % 8)));
+}
+
+void VideoModel::fill(std::uint64_t offset, std::span<std::uint8_t> out) const {
+  std::size_t i = 0;
+  // Head: up to the first word boundary.
+  for (; i < out.size() && (offset + i) % 8 != 0; ++i)
+    out[i] = byte_at(offset + i);
+  for (; i + 8 <= out.size(); i += 8)
+    sim::store_le64(out.data() + i, content_word(spec_.seed, (offset + i) / 8));
+  for (; i < out.size(); ++i) out[i] = byte_at(offset + i);
 }
 
 BitrateLadder BitrateLadder::scaled(std::uint64_t top_bps) {

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,8 +49,15 @@ class VideoModel {
   /// Number of whole frames contained in the contiguous byte prefix.
   std::uint32_t frames_in_prefix(std::uint64_t bytes) const;
 
-  /// Deterministic content byte at `offset` (server fill / client check).
+  /// Deterministic content byte at `offset`. Content is defined per 8-byte
+  /// word: word k is a hash of k and the seed, and byte `offset` is byte
+  /// offset % 8 of word offset / 8 (bits 8j..8j+7 hold byte j).
   std::uint8_t byte_at(std::uint64_t offset) const;
+
+  /// Writes content bytes [offset, offset + out.size()) into `out`, a word
+  /// at a time; equal to byte_at for every byte (server fill / client
+  /// check).
+  void fill(std::uint64_t offset, std::span<std::uint8_t> out) const;
 
   /// Play duration of one frame.
   sim::Duration frame_interval() const {

@@ -3,7 +3,13 @@
 // loss recovery, migration, and QoE plumbing.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <variant>
+#include <vector>
+
 #include "mpquic/schedulers.h"
+#include "quic/packet.h"
 #include "test_support.h"
 
 namespace xlink::quic {
@@ -114,6 +120,60 @@ TEST(Connection, LargeTransferExceedsInitialFlowControlWindows) {
     received.insert(received.end(), chunk.begin(), chunk.end());
   }
   EXPECT_EQ(received, payload);
+}
+
+TEST(Connection, ReadingOneStreamGrantsOnlyThatStream) {
+  constexpr std::uint64_t kWindow = 32 * 1024;
+  WirePair::Options o = mp_options();
+  o.client_config.params.initial_max_stream_data = kWindow;
+  const std::uint64_t key = o.client_config.aead_key;
+  WirePair pair(std::move(o));
+  // Record every MAX_STREAM_DATA the client sends, in order.
+  const PacketProtection aead(key);
+  std::map<StreamId, std::vector<std::uint64_t>> grants;
+  pair.drop_client_to_server = [&](PathId, const net::Datagram& d) {
+    const auto pkt = parse_packet({d.data(), d.size()});
+    const auto frames = pkt ? open_packet(aead, *pkt) : std::nullopt;
+    for (const Frame& f : frames.value_or(std::vector<Frame>{}))
+      if (const auto* m = std::get_if<MaxStreamDataFrame>(&f)) {
+        auto& seen = grants[m->stream_id];
+        if (seen.empty() || seen.back() != m->maximum)
+          seen.push_back(m->maximum);
+      }
+    return false;
+  };
+  ASSERT_TRUE(pair.establish());
+  const StreamId a = pair.client->open_stream();
+  const StreamId b = pair.client->open_stream();
+  pair.client->stream_send(a, test::bytes_of("a"), true);
+  pair.client->stream_send(b, test::bytes_of("b"), true);
+  pair.run_for(sim::millis(100));
+  // B's response fits its window and goes first: the send queue would
+  // hold it behind A's flow-blocked bytes otherwise.
+  pair.server->stream_send(b, test::pattern_bytes(24 * 1024, 2), true);
+  pair.server->stream_send(a, test::pattern_bytes(256 * 1024, 1), true);
+  pair.run_for(sim::millis(200));
+
+  // One read of B past half its window: exactly one grant for B.
+  ASSERT_EQ(pair.client->consume_stream(b, 20 * 1024).size(), 20 * 1024u);
+  // Then only A is read. The grant rule: when less than half a window is
+  // left, grant the read offset plus a window.
+  std::vector<std::uint64_t> expected_a;
+  std::uint64_t read = 0;
+  std::uint64_t granted = kWindow;
+  for (int i = 0; i < 400 && read < 256 * 1024; ++i) {
+    read += pair.client->consume_stream(a, 4 * 1024).size();
+    if (granted - read < kWindow / 2) {
+      granted = read + kWindow;
+      expected_a.push_back(granted);
+    }
+    pair.run_for(sim::millis(5));
+  }
+  pair.run_for(sim::millis(100));
+  EXPECT_EQ(read, 256 * 1024u);
+  EXPECT_GE(expected_a.size(), 10u);
+  EXPECT_EQ(grants[a], expected_a);
+  EXPECT_EQ(grants[b], (std::vector<std::uint64_t>{20 * 1024 + kWindow}));
 }
 
 TEST(Connection, FlowControlBlocksWithoutConsumption) {

@@ -111,6 +111,123 @@ TEST(Aead, EmptyPlaintextAuthenticates) {
   EXPECT_TRUE(opened->empty());
 }
 
+TEST(Aead, PayloadLengthsAroundWordAndPacketSizesRoundTrip) {
+  const PacketProtection aead(0x5eed);
+  const std::vector<std::uint8_t> aad{0x40, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= 17; ++len) lengths.push_back(len);
+  for (std::size_t len = 1199; len <= 1201; ++len) lengths.push_back(len);
+  for (const std::size_t len : lengths) {
+    std::vector<std::uint8_t> plaintext(len);
+    for (std::size_t i = 0; i < len; ++i)
+      plaintext[i] = static_cast<std::uint8_t>(i * 7 + len);
+    std::vector<std::uint8_t> buf = plaintext;
+    buf.resize(len + kAeadTagSize);
+    aead.seal_in_place(3, 1000 + len, aad, buf.data(), len);
+    const auto opened = aead.open_in_place(3, 1000 + len, aad, buf);
+    ASSERT_TRUE(opened.has_value()) << "len " << len;
+    ASSERT_EQ(*opened, len);
+    buf.resize(len);
+    EXPECT_EQ(buf, plaintext) << "len " << len;
+  }
+}
+
+/// A sealed 1-RTT packet of about 1200 B (one STREAM frame), the size of
+/// most packets a session sends.
+struct FullPacket {
+  PacketProtection aead{0x0123'4567'89ab'cdefULL};
+  std::vector<std::uint8_t> wire;
+  std::size_t header_len = 0;
+
+  FullPacket() {
+    PacketHeader h;
+    h.type = PacketType::kOneRtt;
+    h.dcid = {1, 2, 3, 4, 5, 6, 7, 8};
+    h.cid_sequence = 1;
+    h.packet_number = 70'001;
+    std::vector<std::uint8_t> data(1150);
+    for (std::size_t i = 0; i < data.size(); ++i)
+      data[i] = static_cast<std::uint8_t>(i * 131 + 7);
+    wire = seal_packet(aead, h, {Frame{StreamFrame{8, 4096, data, false}}});
+    const auto parsed = parse_packet(wire);
+    header_len = parsed ? parsed->header_bytes.size() : 0;
+  }
+
+  bool opens(std::span<const std::uint8_t> bytes) const {
+    const auto pkt = parse_packet(bytes);
+    return pkt && open_packet(aead, *pkt).has_value();
+  }
+};
+
+TEST(AeadTamper, FullSizePacketRejectsEverySingleBitFlip) {
+  const FullPacket p;
+  ASSERT_GE(p.wire.size(), 1180u);
+  ASSERT_LE(p.wire.size(), 1220u);
+  ASSERT_TRUE(p.opens(p.wire));
+  std::size_t checked = 0;
+  for (std::size_t bit = 0; bit < p.wire.size() * 8; ++bit) {
+    std::vector<std::uint8_t> mutated = p.wire;
+    mutated[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    if (!parse_packet(mutated)) continue;  // header no longer parses
+    ++checked;
+    EXPECT_FALSE(p.opens(mutated)) << "bit " << bit;
+  }
+  // Every payload and tag bit, plus the header bits that still parse.
+  EXPECT_GT(checked, (p.wire.size() - p.header_len) * 8);
+}
+
+TEST(AeadTamper, FullSizePacketRejectsEveryTruncation) {
+  const FullPacket p;
+  std::size_t checked = 0;
+  for (std::size_t cut = 0; cut < p.wire.size(); ++cut) {
+    const std::span<const std::uint8_t> prefix(p.wire.data(), cut);
+    if (!parse_packet(prefix)) continue;
+    ++checked;
+    EXPECT_FALSE(p.opens(prefix)) << "cut " << cut;
+  }
+  EXPECT_EQ(checked, p.wire.size() - p.header_len);
+}
+
+TEST(AeadTamper, MovingOneByteAcrossTheAadBoundaryFails) {
+  const FullPacket p;
+  ASSERT_GT(p.header_len, 1u);
+  // Same bytes, same nonce; only the AAD/ciphertext split differs.
+  for (const std::size_t aad_len : {p.header_len - 1, p.header_len + 1}) {
+    std::vector<std::uint8_t> bytes = p.wire;
+    const std::span<const std::uint8_t> aad(bytes.data(), aad_len);
+    const std::span<std::uint8_t> ct(bytes.data() + aad_len,
+                                     bytes.size() - aad_len);
+    EXPECT_FALSE(p.aead.open_in_place(1, 70'001, aad, ct).has_value())
+        << "aad " << aad_len;
+  }
+  std::vector<std::uint8_t> bytes = p.wire;
+  EXPECT_TRUE(p.aead
+                  .open_in_place(
+                      1, 70'001, {bytes.data(), p.header_len},
+                      {bytes.data() + p.header_len, bytes.size() - p.header_len})
+                  .has_value());
+}
+
+TEST(AeadTamper, SameBitFlippedInTwoWordsOfOneLaneFails) {
+  // The MAC hashes 8-byte ciphertext words, even words in one lane and odd
+  // words in the other. In a bare xor-multiply chain, flipping bit 63 of
+  // word i and of word i + 2 cancels; every bit and every such pair must
+  // fail here.
+  const FullPacket p;
+  const std::size_t words = (p.wire.size() - p.header_len - kAeadTagSize) / 8;
+  ASSERT_GE(words, 140u);
+  for (std::size_t w = 0; w + 2 < words; ++w) {
+    for (std::size_t bit = 0; bit < 64; ++bit) {
+      std::vector<std::uint8_t> mutated = p.wire;
+      const auto mask = static_cast<std::uint8_t>(1u << (bit % 8));
+      mutated[p.header_len + 8 * w + bit / 8] ^= mask;
+      mutated[p.header_len + 8 * (w + 2) + bit / 8] ^= mask;
+      EXPECT_FALSE(p.opens(mutated)) << "words " << w << "," << w + 2
+                                     << " bit " << bit;
+    }
+  }
+}
+
 TEST(Packet, OneRttRoundtrip) {
   PacketProtection aead(0x5eed);
   PacketHeader h;

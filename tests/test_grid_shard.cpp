@@ -218,6 +218,31 @@ TEST(GridShardFile, CellResultRoundTripsBitExact) {
                std::runtime_error);
 }
 
+TEST(GridShardFile, AeadKeyNeverChangesCellMetrics) {
+  // Packet protection is not part of the model: the same cell under two
+  // keys, so different ciphertext and tags on every packet, must write
+  // the byte-identical shard. FEC makes recovered packets take the same
+  // decrypt path.
+  GridCell cell;
+  cell.label = "keyed";
+  cell.scheme_a = core::Scheme::kXlink;
+  cell.options_a.xlink_redundancy = core::XlinkRedundancy::kReinjectPlusFec;
+  cell.pop = tiny_pop();
+  cell.day_seed = 7401;
+  const auto shard_with_key = [&cell](std::uint64_t key) {
+    GridCell keyed = cell;
+    keyed.options_a.aead_key = key;
+    std::ostringstream os;
+    write_cell_result(keyed, run_cell(keyed, 2), os);
+    return os.str();
+  };
+  const std::string shard = shard_with_key(0x5eed);
+  const CellResult parsed = parse_cell_result(shard);
+  EXPECT_EQ(parsed.arm_a.sessions, 2);
+  EXPECT_GT(parsed.arm_a.metrics.counter("fec.client.recovered_packets"), 0u);
+  EXPECT_EQ(shard_with_key(0x0123'4567'89ab'cdefULL), shard);
+}
+
 // ------------------------------------------------- shard parser rejections
 //
 // Shards and manifests are read from files other processes wrote, so the

@@ -124,6 +124,39 @@ TEST(SendStream, FramePriorities) {
   EXPECT_EQ(s.frame_priority_at(999), 0);
 }
 
+TEST(SendStream, PriorityRunEndsMatchPerByteScan) {
+  // The send path splits writes at frame_priority_run_end; it must cut
+  // exactly where a byte-by-byte frame_priority_at scan would.
+  struct Case {
+    const char* name;
+    std::vector<FramePriorityRange> ranges;
+  };
+  const std::vector<Case> cases = {
+      {"none", {}},
+      {"nested", {{4, 40, 2}, {10, 20, 5}, {12, 14, 9}}},
+      {"overlapping", {{5, 25, 3}, {15, 35, 6}, {30, 45, 1}}},
+      {"adjacent equal", {{0, 10, 4}, {10, 20, 4}, {20, 30, 4}, {30, 31, 7}}},
+      {"empty", {{8, 8, 9}, {16, 16, 0}, {12, 24, 2}, {24, 24, 5}}},
+      {"lower inside higher", {{0, 48, 6}, {10, 30, 1}}},
+  };
+  constexpr std::uint64_t kSize = 50;
+  for (const Case& c : cases) {
+    SendStream s(4);
+    s.write(std::vector<std::uint8_t>(kSize, 0), false);
+    for (const auto& r : c.ranges)
+      s.set_frame_priority(r.begin, r.end - r.begin, r.priority);
+    for (std::uint64_t offset = 0; offset < kSize; ++offset) {
+      for (std::uint64_t limit = offset + 1; limit <= kSize; ++limit) {
+        const int prio = s.frame_priority_at(offset);
+        std::uint64_t scan = offset + 1;
+        while (scan < limit && s.frame_priority_at(scan) == prio) ++scan;
+        ASSERT_EQ(s.frame_priority_run_end(offset, limit), scan)
+            << c.name << ": offset " << offset << " limit " << limit;
+      }
+    }
+  }
+}
+
 TEST(SendStream, PrioritySetter) {
   SendStream s(4);
   EXPECT_EQ(s.priority(), 0);

@@ -74,6 +74,26 @@ TEST(VideoModel, ContentDeterministicAndSeedDependent) {
   EXPECT_LT(same, 16);
 }
 
+TEST(VideoModel, FillEqualsByteAtAtEveryAlignment) {
+  const VideoModel m(spec_10s());
+  for (std::uint64_t start = 0; start <= 17; ++start) {
+    for (std::size_t len = 0; len <= 33; ++len) {
+      std::vector<std::uint8_t> out(len + 1, 0xa5);
+      m.fill(start, std::span<std::uint8_t>(out.data(), len));
+      for (std::size_t i = 0; i < len; ++i)
+        ASSERT_EQ(out[i], m.byte_at(start + i))
+            << "start " << start << " len " << len << " byte " << i;
+      EXPECT_EQ(out[len], 0xa5) << "fill wrote past its span";
+    }
+  }
+  // Word indices beyond 32 bits.
+  std::vector<std::uint8_t> far(29);
+  const std::uint64_t base = (1ULL << 40) + 3;
+  m.fill(base, far);
+  for (std::size_t i = 0; i < far.size(); ++i)
+    EXPECT_EQ(far[i], m.byte_at(base + i));
+}
+
 TEST(ChunkPlan, SplitsWithShortTail) {
   const auto plan = ChunkPlan::fixed_size(1000, 300);
   ASSERT_EQ(plan.chunks.size(), 4u);
@@ -225,6 +245,13 @@ TEST(RenditionSet, SharedFrameGridScaledBytes) {
   EXPECT_EQ(native.spec().bitrate_bps, top.bitrate_bps);
   // All renditions share the content seed: byte_at agrees at any offset.
   EXPECT_EQ(lowest.byte_at(4242), native.byte_at(4242));
+  // ... and so does the word fill, which the server's bodies come from.
+  for (std::size_t rung = 0; rung < set.rungs(); ++rung) {
+    std::vector<std::uint8_t> body(301);
+    set.model(rung)->fill(4242, body);
+    for (std::size_t i = 0; i < body.size(); ++i)
+      ASSERT_EQ(body[i], native.byte_at(4242 + i)) << "rung " << rung;
+  }
 }
 
 TEST(RenditionSet, ResourceNaming) {
