@@ -10,24 +10,24 @@ namespace {
 constexpr quic::PacketNumber kForgedPnBase = 1u << 20;
 }  // namespace
 
-std::vector<std::uint8_t> HostilePeer::seal(
+net::PacketBuffer HostilePeer::seal(
     quic::PathId path, quic::PacketNumber pn,
     const std::vector<quic::Frame>& frames) const {
   quic::PacketHeader header;
   header.type = quic::PacketType::kOneRtt;
   header.cid_sequence = static_cast<std::uint32_t>(path);
   header.packet_number = pn;
-  return quic::seal_packet(aead_, header, frames);
+  return quic::seal_packet_buffer(aead_, header, frames);
 }
 
-std::vector<std::uint8_t> HostilePeer::seal_initial(
+net::PacketBuffer HostilePeer::seal_initial(
     quic::PathId path, quic::PacketNumber pn,
     const std::vector<quic::Frame>& frames) const {
   quic::PacketHeader header;
   header.type = quic::PacketType::kInitial;
   header.cid_sequence = static_cast<std::uint32_t>(path);
   header.packet_number = pn;
-  return quic::seal_packet(aead_, header, frames);
+  return quic::seal_packet_buffer(aead_, header, frames);
 }
 
 quic::PacketNumber HostilePeer::next_pn(quic::PathId path) const {
@@ -44,7 +44,8 @@ void HostilePeer::inject(quic::PathId path,
 
 void HostilePeer::inject_at(quic::PathId path, quic::PacketNumber pn,
                             const std::vector<quic::Frame>& frames) {
-  inject_wire(path, seal(path, pn, frames));
+  ++injected_;
+  victim_.on_datagram(path, seal(path, pn, frames));
 }
 
 void HostilePeer::inject_wire(quic::PathId path,
@@ -53,19 +54,17 @@ void HostilePeer::inject_wire(quic::PathId path,
   victim_.on_datagram(path, net::PacketBuffer::copy_of(wire));
 }
 
-std::optional<std::vector<quic::Frame>> HostilePeer::open(
-    std::span<const std::uint8_t> wire) const {
-  const auto pkt = quic::parse_packet(wire);
-  if (!pkt) return std::nullopt;
-  return quic::open_packet(aead_, *pkt);
-}
-
 std::optional<quic::ConnectionCloseFrame> HostilePeer::find_close(
     const std::vector<std::vector<std::uint8_t>>& wires) const {
+  std::vector<quic::Frame> frames;
   for (const auto& wire : wires) {
-    const auto frames = open(wire);
-    if (!frames) continue;
-    for (const quic::Frame& f : *frames)
+    net::PacketBuffer buf = net::PacketBuffer::copy_of(wire);
+    const auto pkt = quic::parse_packet_view(buf.span());
+    if (!pkt) continue;
+    const auto payload = quic::open_packet_in_place(aead_, *pkt);
+    frames.clear();
+    if (!payload || !quic::parse_frames_into(*payload, frames)) continue;
+    for (const quic::Frame& f : frames)
       if (const auto* close = std::get_if<quic::ConnectionCloseFrame>(&f))
         return *close;
   }

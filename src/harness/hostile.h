@@ -5,7 +5,8 @@
 // transport entirely. It owns the connection-wide AEAD key (every XLINK
 // endpoint of a connection shares one), so every forged packet
 // authenticates: the guard has to win on protocol and budget enforcement,
-// never on crypto.
+// never on crypto. Forged packets take the honest datapath: sealed into a
+// pooled buffer that the victim decrypts in place.
 //
 // The harness also wiretaps the victim's outbound datagrams so tests can
 // assert the *graceful* part of a close -- that a CONNECTION_CLOSE frame
@@ -18,6 +19,7 @@
 #include <span>
 #include <vector>
 
+#include "net/packet_buffer.h"
 #include "quic/connection.h"
 #include "quic/crypto.h"
 #include "quic/packet.h"
@@ -31,14 +33,14 @@ class HostilePeer {
       : victim_(victim), aead_(victim.config().aead_key) {}
 
   /// Seals `frames` as a short-header packet numbered `pn` in `path`'s
-  /// number space. The wire image is independently replayable.
-  std::vector<std::uint8_t> seal(quic::PathId path, quic::PacketNumber pn,
-                                 const std::vector<quic::Frame>& frames) const;
+  /// number space, into a pooled buffer. The wire image is independently
+  /// replayable through inject_wire().
+  net::PacketBuffer seal(quic::PathId path, quic::PacketNumber pn,
+                         const std::vector<quic::Frame>& frames) const;
 
   /// Like seal() but with a long (Initial) header -- pre-handshake attacks.
-  std::vector<std::uint8_t> seal_initial(
-      quic::PathId path, quic::PacketNumber pn,
-      const std::vector<quic::Frame>& frames) const;
+  net::PacketBuffer seal_initial(quic::PathId path, quic::PacketNumber pn,
+                                 const std::vector<quic::Frame>& frames) const;
 
   /// Seals and injects at the next fresh packet number for `path`.
   void inject(quic::PathId path, const std::vector<quic::Frame>& frames);
@@ -48,7 +50,8 @@ class HostilePeer {
   void inject_at(quic::PathId path, quic::PacketNumber pn,
                  const std::vector<quic::Frame>& frames);
 
-  /// Injects pre-sealed wire bytes verbatim (replay attacks).
+  /// Injects a copy of pre-sealed wire bytes verbatim (replay attacks: the
+  /// victim decrypts in place, so each injection needs its own copy).
   void inject_wire(quic::PathId path, std::span<const std::uint8_t> wire);
 
   /// Next packet number inject() will use on `path`. Defaults high so
@@ -60,12 +63,9 @@ class HostilePeer {
 
   std::uint64_t packets_injected() const { return injected_; }
 
-  /// Decrypts one captured victim datagram (tests feed datagrams recorded
-  /// from the victim's send callback). Nullopt if it does not parse.
-  std::optional<std::vector<quic::Frame>> open(
-      std::span<const std::uint8_t> wire) const;
-
-  /// First CONNECTION_CLOSE frame found in `wires`, if any.
+  /// First CONNECTION_CLOSE frame found in `wires` (datagrams recorded from
+  /// the victim's send callback), if any. Each datagram is opened in a
+  /// copy, so `wires` stays intact.
   std::optional<quic::ConnectionCloseFrame> find_close(
       const std::vector<std::vector<std::uint8_t>>& wires) const;
 

@@ -128,8 +128,7 @@ Session::Session(SessionConfig config) : config_(std::move(config)) {
   }
 
   if (config_.with_player) {
-    player_ = std::make_unique<video::VideoPlayer>(
-        loop_, *video_model_, config_.startup_buffer_frames);
+    player_ = std::make_unique<video::VideoPlayer>(loop_, *video_model_);
     player_->set_trace(trace_.get());
     media_client_->set_player(player_.get());
     qoe_capture_ =

@@ -60,11 +60,12 @@ struct SessionConfig {
   /// Extra delay before the client brings up secondary paths (models the
   /// radio/interface bring-up cost on phones).
   sim::Duration secondary_path_delay = 0;
-  std::uint32_t startup_buffer_frames = 1;
   std::uint64_t seed = 1;
   /// Per-path health tracking + PTO-driven failover on both endpoints
-  /// (DESIGN.md §7). Off reproduces the pre-failover transport, which the
-  /// chaos suite uses as its no-failover baseline.
+  /// (DESIGN.md §7). Off reproduces the pre-failover transport: the
+  /// blackout failover test in tests/test_faults.cpp uses it as its
+  /// no-failover baseline, and bench_perf's path_health_guard record
+  /// times a session both ways.
   bool path_health = true;
   TraceConfig trace;
 };

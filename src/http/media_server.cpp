@@ -53,7 +53,7 @@ void MediaServer::serve(quic::StreamId id, const RangeRequest& req) {
   if (config_.first_frame_acceleration && begin < ff_end) {
     const std::uint64_t prioritized = std::min(end, ff_end) - begin;
     conn_.stream_send_prioritized(id, std::move(body), /*fin=*/true,
-                                  config_.first_frame_priority,
+                                  kFirstFramePriority,
                                   /*position=*/0, /*size=*/prioritized);
   } else {
     conn_.stream_send(id, std::move(body), /*fin=*/true);

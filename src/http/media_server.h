@@ -23,8 +23,11 @@ class MediaServer {
     /// Express first-video-frame priority to the transport (Fig. 12's
     /// toggle: off reproduces "XLINK w/o first-frame acceleration").
     bool first_frame_acceleration = true;
-    int first_frame_priority = 1;
   };
+
+  /// Video-frame priority of the first frame's bytes under first-frame
+  /// acceleration; every other byte keeps the default priority 0.
+  static constexpr int kFirstFramePriority = 1;
 
   MediaServer(quic::Connection& conn, Config config);
 

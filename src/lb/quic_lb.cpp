@@ -96,9 +96,9 @@ std::optional<std::uint8_t> QuicLbRouter::route_cid(
 
 std::optional<std::uint8_t> QuicLbRouter::route_datagram(
     std::span<const std::uint8_t> datagram) const {
-  const auto pkt = quic::parse_packet(datagram);
-  if (!pkt) return std::nullopt;
-  return route_cid(std::span<const std::uint8_t, 8>(pkt->header.dcid));
+  quic::PacketHeader header;
+  if (!quic::parse_header(datagram, header)) return std::nullopt;
+  return route_cid(std::span<const std::uint8_t, 8>(header.dcid));
 }
 
 }  // namespace xlink::lb

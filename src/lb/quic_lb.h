@@ -63,7 +63,8 @@ class QuicLbRouter {
 
   /// Routing decision for one datagram (wire bytes). Prefers the encoded
   /// server id when it names a live server; falls back to the hash ring.
-  /// nullopt for datagrams too short to carry a CID or an empty pool.
+  /// Reads only the packet header, never the ciphertext. nullopt for a
+  /// header that does not parse or an empty pool.
   std::optional<std::uint8_t> route_datagram(
       std::span<const std::uint8_t> datagram) const;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <utility>
 
 namespace xlink::quic {
 namespace {
@@ -42,6 +43,29 @@ std::array<std::uint8_t, 8> derive_challenge(PathId id) {
 constexpr int kMaxAckRanges = 32;
 constexpr int kAckElicitingThreshold = 2;
 
+/// Path health (PathState::Health, when Config::health.enabled): consecutive
+/// PTOs before a path is marked kDegraded.
+constexpr std::uint32_t kDegradedAfterPtos = 1;
+/// Consecutive-PTO budget: at this count the path fails over to kProbing --
+/// if (and only if) another schedulable path survives.
+constexpr std::uint32_t kFailoverPtoBudget = 3;
+/// Dead-path probe backoff bounds (doubles per probe, capped).
+constexpr sim::Duration kProbeIntervalMin = sim::millis(200);
+constexpr sim::Duration kProbeIntervalMax = sim::seconds(3);
+
+/// The control frames a lost packet must carry again: not acks or padding,
+/// which regenerate, nor stream data, which a SentRecord's items represent.
+bool is_retransmittable_control(const Frame& f) {
+  return std::holds_alternative<CryptoFrame>(f) ||
+         std::holds_alternative<NewConnectionIdFrame>(f) ||
+         std::holds_alternative<PathChallengeFrame>(f) ||
+         std::holds_alternative<PathResponseFrame>(f) ||
+         std::holds_alternative<PathStatusFrame>(f) ||
+         std::holds_alternative<MaxDataFrame>(f) ||
+         std::holds_alternative<MaxStreamDataFrame>(f) ||
+         std::holds_alternative<HandshakeDoneFrame>(f);
+}
+
 }  // namespace
 
 std::string ConnectionId::hex() const {
@@ -57,8 +81,7 @@ std::string ConnectionId::hex() const {
 Connection::Connection(sim::EventLoop& loop, Config config)
     : loop_(loop),
       config_(std::move(config)),
-      aead_(config_.aead_key),
-      auditor_(config_.audit) {
+      aead_(config_.aead_key) {
   // CID sequence 0 for both directions exists from the start (handshake
   // CIDs); the peer's params arrive later but path 0's CIDs are implicit.
   local_cids_[0] = derive_cid(config_.role, 0, config_.cid_server_id);
@@ -97,7 +120,7 @@ void Connection::send_handshake_initial() {
   CryptoFrame crypto;
   crypto.data = encode_transport_params(config_.params);
   queue_control(0, Frame{std::move(crypto)});
-  pump();
+  pump_send();
 }
 
 void Connection::close(std::uint64_t error_code, const std::string& reason) {
@@ -193,7 +216,7 @@ std::optional<PathId> Connection::open_path() {
     return std::nullopt;
   PathState& p = create_path(id, PathState::State::kValidating);
   queue_control(id, Frame{PathChallengeFrame{p.challenge_data}});
-  pump();
+  pump_send();
   return id;
 }
 
@@ -204,21 +227,11 @@ void Connection::abandon_path(PathId id) {
   if (p.state == PathState::State::kAbandoned) return;
   p.state = PathState::State::kAbandoned;
   trace_path_state(p);
-  // Tell the peer on a surviving path.
-  PathStatusFrame status;
-  status.path_id = id;
-  status.status_seq = ++p.status_seq_out;
-  status.status = PathStatusKind::kAbandon;
-  const PathId carrier = fastest_active_path();
-  if (carrier != id || active_path_ids().empty())
-    queue_control(carrier, Frame{status});
-  // Rescue in-flight data: requeue everything unacked on this path.
-  std::vector<SentRecord> rescued;
-  rescued.reserve(p.unacked.size());
-  for (auto& [pn, rec] : p.unacked) rescued.push_back(std::move(rec));
-  p.unacked.clear();
-  for (auto& rec : rescued) requeue_record(std::move(rec));
-  pump();
+  // Tell the peer on a surviving path (the abandoned one no longer counts
+  // as active), then requeue everything unacked on this path.
+  queue_path_status(p, PathStatusKind::kAbandon);
+  rescue_in_flight(p);
+  pump_send();
 }
 
 void Connection::set_path_status(PathId id, std::uint64_t status) {
@@ -232,12 +245,8 @@ void Connection::set_path_status(PathId id, std::uint64_t status) {
   p.state = status == PathStatusKind::kStandby ? PathState::State::kStandby
                                                : PathState::State::kActive;
   trace_path_state(p);
-  PathStatusFrame f;
-  f.path_id = id;
-  f.status_seq = ++p.status_seq_out;
-  f.status = status;
-  queue_control(fastest_active_path(), Frame{f});
-  pump();
+  queue_path_status(p, status);
+  pump_send();
 }
 
 void Connection::migrate_to_path(PathId id) {
@@ -256,7 +265,7 @@ void Connection::migrate_to_path(PathId id) {
   np.pacer.reset();
   queue_control(id, Frame{PathChallengeFrame{np.challenge_data}});
   for (PathId old : old_ids) abandon_path(old);
-  pump();
+  pump_send();
 }
 
 std::vector<PathId> Connection::path_ids() const {
@@ -318,7 +327,7 @@ void Connection::rebind_path(PathId id) {
   p.state = PathState::State::kValidating;
   trace_path_state(p);
   queue_control(id, Frame{PathChallengeFrame{p.challenge_data}});
-  pump();
+  pump_send();
 }
 
 void Connection::issue_connection_ids() {
@@ -409,7 +418,7 @@ void Connection::stream_send_prioritized(StreamId id,
     item.stream_priority = stream.priority();
     enqueue_item(item, InsertMode::kPriority);
   }
-  pump();
+  pump_send();
 }
 
 void Connection::set_stream_priority(StreamId id, int priority) {
@@ -423,7 +432,7 @@ void Connection::set_stream_priority(StreamId id, int priority) {
 
 void Connection::send_qoe_signal(const QoeSignal& qoe) {
   queue_control(fastest_active_path(), Frame{QoeControlSignalsFrame{qoe}});
-  pump();
+  pump_send();
 }
 
 // -------------------------------------------------------------- send queue
@@ -482,8 +491,6 @@ std::uint64_t Connection::connection_send_window() const {
 }
 
 // --------------------------------------------------------------- send loop
-
-void Connection::pump() { pump_send(); }
 
 void Connection::pump_send() {
   if (in_pump_ || closed_ || !send_fn_) return;
@@ -702,7 +709,7 @@ bool Connection::send_one_packet(PathId path_id, bool ignore_cwnd) {
     return false;
   }
   const bool sent = build_and_send(path_id, frames, std::move(taken),
-                                   /*ack_eliciting=*/true, /*is_probe=*/false);
+                                   /*ack_eliciting=*/true);
   frames.clear();
   send_frames_scratch_ = std::move(frames);
   return sent;
@@ -710,13 +717,12 @@ bool Connection::send_one_packet(PathId path_id, bool ignore_cwnd) {
 
 bool Connection::send_control_packet(PathId path_id, std::vector<Frame> frames,
                                      bool count_inflight) {
-  return build_and_send(path_id, frames, {}, count_inflight,
-                        /*is_probe=*/!count_inflight);
+  return build_and_send(path_id, frames, {}, count_inflight);
 }
 
 bool Connection::build_and_send(PathId path_id, std::vector<Frame>& frames,
                                 std::vector<SendItem> items,
-                                bool ack_eliciting, bool /*is_probe*/) {
+                                bool ack_eliciting) {
   auto pit = paths_.find(path_id);
   if (pit == paths_.end() || !send_fn_) return false;
   PathState& path = *pit->second;
@@ -724,18 +730,7 @@ bool Connection::build_and_send(PathId path_id, std::vector<Frame>& frames,
   // Opportunistically piggyback this path's pending ack.
   bool prepended_ack = false;
   if (path.ack_pending && !path.recv_ranges.empty()) {
-    AckMpFrame ack;
-    ack.path_id = path_id;
-    ack.info.ranges = path.recv_ranges;
-    ack.info.ack_delay_us = loop_.now() - path.largest_recv_time;
-    if (config_.role == Role::kClient && config_.qoe_in_acks &&
-        qoe_provider_) {
-      ack.qoe = qoe_provider_();
-    }
-    frames.insert(frames.begin(), Frame{std::move(ack)});
-    path.ack_pending = false;
-    path.ack_eliciting_unacked = 0;
-    ++stats_.acks_sent;
+    frames.insert(frames.begin(), Frame{take_ack(path)});
     prepended_ack = true;
   }
 
@@ -773,17 +768,8 @@ bool Connection::build_and_send(PathId path_id, std::vector<Frame>& frames,
     }
     auto& ctrl = pending_control_[path_id];
     for (std::size_t i = frames.size(); i-- > (prepended_ack ? 1u : 0u);) {
-      Frame& f = frames[i];
-      if (std::holds_alternative<CryptoFrame>(f) ||
-          std::holds_alternative<NewConnectionIdFrame>(f) ||
-          std::holds_alternative<PathChallengeFrame>(f) ||
-          std::holds_alternative<PathResponseFrame>(f) ||
-          std::holds_alternative<PathStatusFrame>(f) ||
-          std::holds_alternative<MaxDataFrame>(f) ||
-          std::holds_alternative<MaxStreamDataFrame>(f) ||
-          std::holds_alternative<HandshakeDoneFrame>(f)) {
-        ctrl.push_front(std::move(f));
-      }
+      if (is_retransmittable_control(frames[i]))
+        ctrl.push_front(std::move(frames[i]));
     }
     if (prepended_ack) {
       path.ack_pending = true;
@@ -810,20 +796,8 @@ bool Connection::build_and_send(PathId path_id, std::vector<Frame>& frames,
     rec.ack_eliciting = eliciting;
     rec.is_reinjection = is_reinjection_pkt;
     rec.items = std::move(items);
-    for (const Frame& f : frames) {
-      // Keep retransmittable control frames (not acks/padding/stream: the
-      // stream content is already represented by items).
-      if (std::holds_alternative<CryptoFrame>(f) ||
-          std::holds_alternative<NewConnectionIdFrame>(f) ||
-          std::holds_alternative<PathChallengeFrame>(f) ||
-          std::holds_alternative<PathResponseFrame>(f) ||
-          std::holds_alternative<PathStatusFrame>(f) ||
-          std::holds_alternative<MaxDataFrame>(f) ||
-          std::holds_alternative<MaxStreamDataFrame>(f) ||
-          std::holds_alternative<HandshakeDoneFrame>(f)) {
-        rec.control.push_back(f);
-      }
-    }
+    for (const Frame& f : frames)
+      if (is_retransmittable_control(f)) rec.control.push_back(f);
     if (eliciting) {
       // Delivery-rate stamp before loss detection sees the packet: the
       // sampler re-anchors its clocks when bytes_in_flight is still zero.
@@ -887,8 +861,7 @@ bool Connection::build_and_send(PathId path_id, std::vector<Frame>& frames,
       // back into the framer.
       fec_emit_scratch_.clear();
       fec_emit_scratch_.push_back(std::move(f));
-      build_and_send(path_id, fec_emit_scratch_, {}, /*ack_eliciting=*/true,
-                     /*is_probe=*/false);
+      build_and_send(path_id, fec_emit_scratch_, {}, /*ack_eliciting=*/true);
       fec_emit_scratch_.clear();
     }
     fec_frames_scratch_.clear();
@@ -906,22 +879,24 @@ void Connection::send_pending_acks() {
     const bool due = p->ack_eliciting_unacked >= kAckElicitingThreshold ||
                      p->ack_deadline <= loop_.now();
     if (!due) continue;
-    AckMpFrame ack;
-    ack.path_id = id;
-    ack.info.ranges = p->recv_ranges;
-    ack.info.ack_delay_us = loop_.now() - p->largest_recv_time;
-    if (config_.role == Role::kClient && config_.qoe_in_acks &&
-        qoe_provider_) {
-      ack.qoe = qoe_provider_();
-    }
-    p->ack_pending = false;
-    p->ack_eliciting_unacked = 0;
-    ++stats_.acks_sent;
+    AckMpFrame ack = take_ack(*p);
     const auto carrier = ack_carrier_path(id);
     if (!carrier) continue;
     send_control_packet(*carrier, {Frame{std::move(ack)}},
                         /*count_inflight=*/false);
   }
+}
+
+AckMpFrame Connection::take_ack(PathState& p) {
+  AckMpFrame ack;
+  ack.path_id = p.id;
+  ack.info.ranges = p.recv_ranges;
+  ack.info.ack_delay_us = loop_.now() - p.largest_recv_time;
+  if (config_.role == Role::kClient && qoe_provider_) ack.qoe = qoe_provider_();
+  p.ack_pending = false;
+  p.ack_eliciting_unacked = 0;
+  ++stats_.acks_sent;
+  return ack;
 }
 
 std::optional<PathId> Connection::ack_carrier_path(PathId acked_path) const {
@@ -1026,7 +1001,7 @@ void Connection::on_datagram(PathId arrival_path, net::Datagram dgram) {
   }
   note_received(path, pkt->header.packet_number, eliciting);
   if (!duplicate && !closed_)
-    handle_frames(path_id, pkt->header.packet_number, frames);
+    handle_frames(path_id, frames);
 
   frames.clear();
   recv_frames_scratch_ = std::move(frames);
@@ -1081,7 +1056,7 @@ void Connection::note_received(PathState& p, PacketNumber pn,
   }
 }
 
-void Connection::handle_frames(PathId path_id, PacketNumber /*pn*/,
+void Connection::handle_frames(PathId path_id,
                                const std::vector<Frame>& frames) {
   for (const Frame& frame : frames) {
     if (closed_) return;
@@ -1095,29 +1070,15 @@ void Connection::handle_frames(PathId path_id, PacketNumber /*pn*/,
       handle_ack_info(path_id, f->info);
     } else if (const auto* f = std::get_if<AckMpFrame>(&frame)) {
       handle_ack_info(f->path_id, f->info);
-      if (f->qoe) {
-        latest_peer_qoe_ = *f->qoe;
-        XLINK_TRACE(config_.trace,
-                    telemetry::Event::qoe_signal(
-                        loop_.now(), trace_origin(), f->qoe->cached_bytes,
-                        f->qoe->cached_frames, f->qoe->bps));
-        if (config_.scheduler) config_.scheduler->on_qoe(*this, *f->qoe);
-        if (on_qoe_feedback) on_qoe_feedback(*f->qoe);
-      }
+      if (f->qoe) on_peer_qoe(*f->qoe);
     } else if (const auto* f = std::get_if<QoeControlSignalsFrame>(&frame)) {
-      latest_peer_qoe_ = f->qoe;
-      XLINK_TRACE(config_.trace,
-                  telemetry::Event::qoe_signal(
-                      loop_.now(), trace_origin(), f->qoe.cached_bytes,
-                      f->qoe.cached_frames, f->qoe.bps));
-      if (config_.scheduler) config_.scheduler->on_qoe(*this, f->qoe);
-      if (on_qoe_feedback) on_qoe_feedback(f->qoe);
+      on_peer_qoe(f->qoe);
     } else if (const auto* f = std::get_if<RepairFrame>(&frame)) {
       handle_repair_frame(path_id, *f);
     } else if (const auto* f = std::get_if<StreamFrame>(&frame)) {
       handle_stream_frame(*f);
     } else if (const auto* f = std::get_if<CryptoFrame>(&frame)) {
-      handle_crypto(path_id, *f);
+      handle_crypto(*f);
     } else if (const auto* f = std::get_if<PathChallengeFrame>(&frame)) {
       // Answering proves nothing about the sender: only OUR challenge being
       // echoed back validates the peer's address (RFC 9000 §8.2.1), so a
@@ -1147,10 +1108,7 @@ void Connection::handle_frames(PathId path_id, PacketNumber /*pn*/,
           if (p.state != PathState::State::kAbandoned) {
             p.state = PathState::State::kAbandoned;
             trace_path_state(p);
-            std::vector<SentRecord> rescued;
-            for (auto& [pn2, rec] : p.unacked) rescued.push_back(std::move(rec));
-            p.unacked.clear();
-            for (auto& rec : rescued) requeue_record(std::move(rec));
+            rescue_in_flight(p);
           }
         } else if (f->status == PathStatusKind::kStandby) {
           it->second->state = PathState::State::kStandby;
@@ -1203,7 +1161,17 @@ void Connection::handle_frames(PathId path_id, PacketNumber /*pn*/,
   }
 }
 
-void Connection::handle_crypto(PathId /*path_id*/, const CryptoFrame& f) {
+void Connection::on_peer_qoe(const QoeSignal& qoe) {
+  latest_peer_qoe_ = qoe;
+  XLINK_TRACE(config_.trace,
+              telemetry::Event::qoe_signal(loop_.now(), trace_origin(),
+                                           qoe.cached_bytes,
+                                           qoe.cached_frames, qoe.bps));
+  if (config_.scheduler) config_.scheduler->on_qoe(*this, qoe);
+  if (on_qoe_feedback) on_qoe_feedback(qoe);
+}
+
+void Connection::handle_crypto(const CryptoFrame& f) {
   auto params = parse_transport_params(f.data);
   if (!params || peer_params_) return;  // duplicate handshake data
   peer_params_ = *params;
@@ -1554,6 +1522,11 @@ void Connection::requeue_record(SentRecord record) {
   }
 }
 
+void Connection::rescue_in_flight(PathState& p) {
+  auto rescued = std::exchange(p.unacked, {});
+  for (auto& [pn, rec] : rescued) requeue_record(std::move(rec));
+}
+
 void Connection::on_pto(PathState& p) {
   ++stats_.ptos;
   ++p.pto_count;
@@ -1574,13 +1547,13 @@ void Connection::on_pto(PathState& p) {
   // can absorb the traffic; the last path keeps limping (kDegraded) with
   // its capped PTO probing, which is the graceful single-path mode.
   if (config_.health.enabled) {
-    if (p.pto_count >= config_.health.failover_pto_budget &&
+    if (p.pto_count >= kFailoverPtoBudget &&
         has_other_schedulable(p.id)) {
       fail_over_path(p);
       return;
     }
     if (p.health == PathState::Health::kGood &&
-        p.pto_count >= config_.health.degraded_after_ptos)
+        p.pto_count >= kDegradedAfterPtos)
       set_path_health(p, PathState::Health::kDegraded);
   }
 
@@ -1634,28 +1607,19 @@ void Connection::fail_over_path(PathState& p) {
 
   // Standby (reversible, unlike abandon) tells the peer to stop scheduling
   // onto the path too; it flips back to available on resurrection.
-  PathStatusFrame status;
-  status.path_id = p.id;
-  status.status_seq = ++p.status_seq_out;
-  status.status = PathStatusKind::kStandby;
-  queue_control(fastest_active_path(), Frame{status});
+  queue_path_status(p, PathStatusKind::kStandby);
 
   // Orphan rescue: everything still in flight on the dead path is requeued
   // (still-unacked subranges only) so surviving paths carry it. Loss state
   // is wiped so the path stops charging bytes_in_flight and stops arming
   // loss/PTO deadlines for packets that will never be acked.
-  std::vector<SentRecord> rescued;
-  rescued.reserve(p.unacked.size());
-  for (auto& [pn, rec] : p.unacked) rescued.push_back(std::move(rec));
-  p.unacked.clear();
+  rescue_in_flight(p);
   p.loss.clear_in_flight();
-  for (auto& rec : rescued) requeue_record(std::move(rec));
 
   // Dead-path probing starts at the current backed-off PTO and doubles per
   // silent probe, capped -- the resurrection latency bound.
-  p.probe_interval = std::clamp(path_pto_interval(p),
-                                config_.health.probe_interval_min,
-                                config_.health.probe_interval_max);
+  p.probe_interval =
+      std::clamp(path_pto_interval(p), kProbeIntervalMin, kProbeIntervalMax);
   p.next_probe_at = loop_.now() + p.probe_interval;
   p.probes_sent = 0;
   pump_send();
@@ -1669,11 +1633,7 @@ void Connection::resurrect_path(PathState& p) {
   p.probes_sent = 0;
   if (!was_probing) return;
   ++stats_.path_resurrections;
-  PathStatusFrame status;
-  status.path_id = p.id;
-  status.status_seq = ++p.status_seq_out;
-  status.status = PathStatusKind::kAvailable;
-  queue_control(fastest_active_path(), Frame{status});
+  queue_path_status(p, PathStatusKind::kAvailable);
 }
 
 void Connection::probe_dead_path(PathState& p) {
@@ -1682,8 +1642,7 @@ void Connection::probe_dead_path(PathState& p) {
   // Tracked ack-eliciting PING: the ack (carried on a surviving path, since
   // ACK_MP for this space travels anywhere) is the resurrection signal.
   send_control_packet(p.id, {Frame{PingFrame{}}}, /*count_inflight=*/true);
-  p.probe_interval =
-      std::min(p.probe_interval * 2, config_.health.probe_interval_max);
+  p.probe_interval = std::min(p.probe_interval * 2, kProbeIntervalMax);
   p.next_probe_at = loop_.now() + p.probe_interval;
 }
 
@@ -1757,6 +1716,11 @@ void Connection::queue_control(PathId path, Frame frame) {
   pending_control_[path].push_back(std::move(frame));
 }
 
+void Connection::queue_path_status(PathState& p, std::uint64_t status) {
+  queue_control(fastest_active_path(),
+                Frame{PathStatusFrame{p.id, ++p.status_seq_out, status}});
+}
+
 std::vector<std::uint8_t> Connection::consume_stream(StreamId id,
                                                      std::size_t max) {
   auto it = recv_streams_.find(id);
@@ -1785,7 +1749,7 @@ void Connection::maybe_send_flow_updates(StreamId id,
     queue_control(fastest_active_path(),
                   Frame{MaxStreamDataFrame{id, granted}});
   }
-  pump();
+  pump_send();
 }
 
 }  // namespace xlink::quic

@@ -171,8 +171,6 @@ class Connection {
     std::shared_ptr<Scheduler> scheduler;  // nullptr -> single path only
     /// TCP-style RTO: collapse cwnd on probe timeout (MPTCP baseline).
     bool tcp_style_rto = false;
-    /// Attach the QoE signal to every ACK_MP (client side).
-    bool qoe_in_acks = true;
     /// Server id embedded in locally issued CIDs for QUIC-LB routing; the
     /// peer's value must be mirrored (in a real handshake CIDs arrive on
     /// the wire; the simulator derives them on both sides).
@@ -182,19 +180,12 @@ class Connection {
     /// tracing; the hooks then cost one predictable branch each).
     telemetry::TraceSink* trace = nullptr;
 
-    /// Path-health failover machinery (PathState::Health). Disabled it
-    /// reproduces the pre-failover transport: PTOs keep probing in place
-    /// and the scheduler alone steers around dead paths.
+    /// Path-health failover machinery (PathState::Health; thresholds are
+    /// constants in connection.cpp). Disabled it reproduces the pre-failover
+    /// transport: PTOs keep probing in place and the scheduler alone steers
+    /// around dead paths.
     struct PathHealth {
       bool enabled = true;
-      /// Consecutive PTOs before a path is marked kDegraded.
-      std::uint32_t degraded_after_ptos = 1;
-      /// Consecutive-PTO budget: at this count the path fails over to
-      /// kProbing -- if (and only if) another schedulable path survives.
-      std::uint32_t failover_pto_budget = 3;
-      /// Dead-path probe backoff bounds (doubles per probe, capped).
-      sim::Duration probe_interval_min = sim::millis(200);
-      sim::Duration probe_interval_max = sim::seconds(3);
     };
     PathHealth health;
 
@@ -207,10 +198,6 @@ class Connection {
     /// Hostile-peer hardening: per-connection resource budgets consulted
     /// at every peer-driven allocation point (guard.h).
     ResourceBudgets budgets;
-
-    /// Invariant auditor tuning; whether it runs is decided by the
-    /// XLINK_AUDIT build option and environment variable (guard.h).
-    InvariantAuditor::Config audit;
 
     /// Token-bucket pacing of scheduler-driven data sends. Off by default:
     /// enabling it changes packet departure times, so existing experiment
@@ -382,8 +369,10 @@ class Connection {
   /// insertion mode. Returns the number of bytes queued.
   std::uint64_t reinject_record(SentRecord& record, InsertMode mode);
 
-  /// Kicks the send loop (harness calls after app writes).
-  void pump();
+  /// Runs the send loop: due acks, queued control frames, then
+  /// scheduler-driven stream data; then re-arms the timers. The public
+  /// calls that queue work end with it; tests call it to kick the loop.
+  void pump_send();
 
   // ---- forward erasure correction ------------------------------------
   bool fec_enabled() const { return fec_recovery_ != nullptr; }
@@ -431,30 +420,33 @@ class Connection {
   void send_close_frame(PathId path);
 
   // Send-side machinery.
-  void pump_send();
   bool send_one_packet(PathId path, bool ignore_cwnd = false);
   bool send_control_packet(PathId path, std::vector<Frame> frames,
                            bool count_inflight);
   void send_pending_acks();
+  /// ACK_MP for `p`'s receive ranges (carrying the client's QoE signal);
+  /// clears the path's pending-ack state and counts the ack as sent.
+  AckMpFrame take_ack(PathState& p);
   /// Seals `frames` into a pooled buffer and hands it to send_fn_. The
   /// frame list is an lvalue ref so callers can reuse scratch storage.
   /// Returns false when nothing went on the wire (unknown path, or the
   /// send was suppressed by the anti-amplification cap -- suppressed
   /// stream/control content is re-queued, never dropped).
   bool build_and_send(PathId path, std::vector<Frame>& frames,
-                      std::vector<SendItem> items, bool ack_eliciting,
-                      bool is_probe);
+                      std::vector<SendItem> items, bool ack_eliciting);
   std::optional<PathId> ack_carrier_path(PathId acked_path) const;
   PathId fastest_active_path() const;
 
   // Receive-side machinery.
-  void handle_frames(PathId path, PacketNumber pn,
-                     const std::vector<Frame>& frames);
+  void handle_frames(PathId path, const std::vector<Frame>& frames);
+  /// A peer QoE signal (from ACK_MP or QOE_CONTROL_SIGNALS): stored, traced,
+  /// and passed to the scheduler and the on_qoe_feedback observer.
+  void on_peer_qoe(const QoeSignal& qoe);
   void handle_repair_frame(PathId path, const RepairFrame& f);
   double path_loss_estimate(const PathState& p) const;
   void handle_ack_info(PathId acked_path, const AckInfo& info);
   void handle_stream_frame(const StreamFrame& f);
-  void handle_crypto(PathId path, const CryptoFrame& f);
+  void handle_crypto(const CryptoFrame& f);
   void note_received(PathState& p, PacketNumber pn, bool ack_eliciting);
   bool already_received(const PathState& p, PacketNumber pn) const;
 
@@ -465,6 +457,8 @@ class Connection {
   void trace_cc_state(const PathState& p);
   void on_packets_lost(PathState& p, const std::vector<LostPacket>& pns);
   void requeue_record(SentRecord record);
+  /// Empties p's unacked map, requeueing each record (requeue_record).
+  void rescue_in_flight(PathState& p);
   void on_pto(PathState& p);
   void arm_timers();
   void on_timer();
@@ -482,6 +476,9 @@ class Connection {
   PathState& create_path(PathId id, PathState::State state);
   void issue_connection_ids();
   void queue_control(PathId path, Frame frame);
+  /// Queues PATH_STATUS(`status`) about `p` on the fastest active path,
+  /// numbered by p's outgoing status sequence.
+  void queue_path_status(PathState& p, std::uint64_t status);
   void maybe_send_flow_updates(StreamId id, const RecvStream& stream);
 
   // Handshake helpers.

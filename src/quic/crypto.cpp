@@ -1,6 +1,5 @@
 #include "quic/crypto.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "sim/bytes.h"
@@ -154,28 +153,6 @@ std::optional<std::size_t> PacketProtection::open_in_place(
 
   apply_keystream(seed, ciphertext_and_tag.data(), ct_len);
   return ct_len;
-}
-
-std::vector<std::uint8_t> PacketProtection::seal(
-    std::uint32_t cid_sequence, PacketNumber pn,
-    std::span<const std::uint8_t> aad,
-    std::span<const std::uint8_t> plaintext) const {
-  std::vector<std::uint8_t> out(plaintext.size() + kAeadTagSize);
-  std::copy(plaintext.begin(), plaintext.end(), out.begin());
-  seal_in_place(cid_sequence, pn, aad, out.data(), plaintext.size());
-  return out;
-}
-
-std::optional<std::vector<std::uint8_t>> PacketProtection::open(
-    std::uint32_t cid_sequence, PacketNumber pn,
-    std::span<const std::uint8_t> aad,
-    std::span<const std::uint8_t> ciphertext_and_tag) const {
-  std::vector<std::uint8_t> buf(ciphertext_and_tag.begin(),
-                                ciphertext_and_tag.end());
-  const auto len = open_in_place(cid_sequence, pn, aad, buf);
-  if (!len) return std::nullopt;
-  buf.resize(*len);
-  return buf;
 }
 
 }  // namespace xlink::quic

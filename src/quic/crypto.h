@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "quic/types.h"
 
@@ -53,17 +52,6 @@ class PacketProtection {
       std::uint32_t cid_sequence, PacketNumber pn,
       std::span<const std::uint8_t> aad,
       std::span<std::uint8_t> ciphertext_and_tag) const;
-
-  /// Copying convenience over seal_in_place: returns ciphertext || tag.
-  std::vector<std::uint8_t> seal(std::uint32_t cid_sequence, PacketNumber pn,
-                                 std::span<const std::uint8_t> aad,
-                                 std::span<const std::uint8_t> plaintext) const;
-
-  /// Copying convenience over open_in_place.
-  std::optional<std::vector<std::uint8_t>> open(
-      std::uint32_t cid_sequence, PacketNumber pn,
-      std::span<const std::uint8_t> aad,
-      std::span<const std::uint8_t> ciphertext_and_tag) const;
 
   std::uint64_t key() const { return key_; }
 

@@ -202,12 +202,6 @@ struct FrameEncoder {
   }
 };
 
-FrameData payload_of(std::span<const std::uint8_t> view, PayloadOwnership own) {
-  return own == PayloadOwnership::kBorrow
-             ? FrameData::borrowed(view)
-             : FrameData(std::vector<std::uint8_t>(view.begin(), view.end()));
-}
-
 }  // namespace
 
 bool AckInfo::contains(PacketNumber pn) const {
@@ -228,7 +222,7 @@ void encode_frame(const Frame& frame, SizeWriter& w) {
   std::visit(FrameEncoder<SizeWriter>{w}, frame);
 }
 
-std::optional<Frame> parse_frame(Reader& r, PayloadOwnership own) {
+std::optional<Frame> parse_frame(Reader& r) {
   const auto type = r.varint();
   if (!type) return std::nullopt;
   switch (*type) {
@@ -310,7 +304,7 @@ std::optional<Frame> parse_frame(Reader& r, PayloadOwnership own) {
       f.k = *k;
       f.repair_count = *rep;
       f.symbol_index = *idx;
-      f.payload = payload_of(*data, own);
+      f.payload = FrameData::borrowed(*data);
       return Frame{std::move(f)};
     }
     case kTypeCrypto: {
@@ -325,7 +319,7 @@ std::optional<Frame> parse_frame(Reader& r, PayloadOwnership own) {
       auto data = r.view(*len);
       if (!data) return std::nullopt;
       f.offset = *off;
-      f.data = payload_of(*data, own);
+      f.data = FrameData::borrowed(*data);
       return Frame{std::move(f)};
     }
     case kTypeMaxData: {
@@ -380,7 +374,7 @@ std::optional<Frame> parse_frame(Reader& r, PayloadOwnership own) {
       const auto trigger = r.varint();
       const auto len = r.varint();
       if (!ec || !trigger || !len) return std::nullopt;
-      auto reason = r.bytes(*len);
+      const auto reason = r.view(*len);
       if (!reason) return std::nullopt;
       f.error_code = *ec;
       f.reason.assign(reason->begin(), reason->end());
@@ -412,26 +406,18 @@ std::optional<Frame> parse_frame(Reader& r, PayloadOwnership own) {
         if (f.offset > kVarintMax - len) return std::nullopt;
         auto data = r.view(len);
         if (!data) return std::nullopt;
-        f.data = payload_of(*data, own);
+        f.data = FrameData::borrowed(*data);
         return Frame{std::move(f)};
       }
       return std::nullopt;  // unknown frame type
   }
 }
 
-std::optional<std::vector<Frame>> parse_frames(
-    std::span<const std::uint8_t> payload) {
-  std::vector<Frame> frames;
-  if (!parse_frames_into(payload, frames, PayloadOwnership::kCopy))
-    return std::nullopt;
-  return frames;
-}
-
 bool parse_frames_into(std::span<const std::uint8_t> payload,
-                       std::vector<Frame>& out, PayloadOwnership own) {
+                       std::vector<Frame>& out) {
   Reader r(payload);
   while (!r.done()) {
-    auto f = parse_frame(r, own);
+    auto f = parse_frame(r);
     if (!f) return false;
     out.push_back(std::move(*f));
   }

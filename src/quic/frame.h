@@ -23,11 +23,11 @@
 
 namespace xlink::quic {
 
-/// Payload bytes of a CRYPTO/STREAM frame: owned on the send/store side,
-/// borrowed (a view of the receive buffer) on the decode hot path, where it
-/// saves one heap allocation and copy per data frame. Copying an owned
-/// payload deep-copies; copying a borrowed payload copies only the view, so
-/// borrowed frames must not outlive the datagram they view -- Connection
+/// Payload bytes of a CRYPTO/STREAM/REPAIR frame: owned on the send/store
+/// side, borrowed (a view of the input buffer) by every parse, which saves
+/// one heap allocation and copy per data frame. Copying an owned payload
+/// deep-copies; copying a borrowed payload copies only the view, so
+/// borrowed frames must not outlive the buffer they view -- Connection
 /// honours this by never storing received frames past the dispatch call.
 class FrameData {
  public:
@@ -276,24 +276,16 @@ void encode_frame(const Frame& frame, Writer& w);
 void encode_frame(const Frame& frame, BufWriter& w);
 void encode_frame(const Frame& frame, SizeWriter& w);
 
-/// Whether parsed CRYPTO/STREAM payloads copy into owned storage or borrow
-/// a view of the input buffer (zero-copy; input must outlive the frames).
-enum class PayloadOwnership { kCopy, kBorrow };
-
-/// Parses one frame; nullopt on malformed/unknown input.
-std::optional<Frame> parse_frame(Reader& r,
-                                 PayloadOwnership own = PayloadOwnership::kCopy);
-
-/// Parses a full packet payload into frames; nullopt if any frame is bad.
-std::optional<std::vector<Frame>> parse_frames(
-    std::span<const std::uint8_t> payload);
+/// Parses one frame; nullopt on malformed/unknown input. A parsed
+/// CRYPTO/STREAM/REPAIR payload borrows the Reader's bytes: the caller
+/// keeps them alive for as long as it uses the frame.
+std::optional<Frame> parse_frame(Reader& r);
 
 /// Appends the payload's frames to `out` (reusing its capacity -- the
 /// receive hot path passes a cleared scratch vector); false if any frame is
-/// bad. Borrowed frames view `payload` directly.
+/// bad. Payloads view `payload` directly, as parse_frame's do.
 bool parse_frames_into(std::span<const std::uint8_t> payload,
-                       std::vector<Frame>& out,
-                       PayloadOwnership own = PayloadOwnership::kBorrow);
+                       std::vector<Frame>& out);
 
 /// Encoded size of a frame (counted, no allocation).
 std::size_t frame_wire_size(const Frame& frame);

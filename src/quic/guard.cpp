@@ -58,6 +58,10 @@ bool audit_enabled_by_env() {
 
 namespace {
 
+/// Outstanding pooled-buffer debt (acquires - releases) tolerated on this
+/// thread before the auditor calls it a leak.
+constexpr std::uint64_t kMaxPoolDebtSlots = 1u << 16;
+
 /// Default terminal handler: structured dump (the qlog of the trace ring,
 /// when the connection has one, plus the failed check) then abort.
 void dump_and_abort(const Connection& conn, const AuditFailure& f) {
@@ -85,8 +89,8 @@ void dump_and_abort(const Connection& conn, const AuditFailure& f) {
 
 void InvariantAuditor::fail(const Connection& conn, AuditFailure f) {
   ++failures_;
-  if (cfg_.on_failure) {
-    cfg_.on_failure(conn, f);
+  if (on_failure_) {
+    on_failure_(conn, f);
     return;
   }
   dump_and_abort(conn, f);
@@ -136,7 +140,7 @@ std::size_t InvariantAuditor::tick(const Connection& conn) {
         static_cast<std::int64_t>(c.acquires) -
         static_cast<std::int64_t>(c.releases);
     const std::int64_t budget =
-        static_cast<std::int64_t>(cfg_.max_pool_debt_slots);
+        static_cast<std::int64_t>(kMaxPoolDebtSlots);
     const bool counters_reset =
         c.acquires < pool_last_acquires_ || c.releases < pool_last_releases_;
     pool_last_acquires_ = c.acquires;
@@ -161,7 +165,7 @@ std::size_t InvariantAuditor::tick(const Connection& conn) {
       AuditFailure f;
       f.check = "pool_debt";
       f.detail = "outstanding pooled buffers exceed the debt budget";
-      f.expected = cfg_.max_pool_debt_slots;
+      f.expected = kMaxPoolDebtSlots;
       f.actual = static_cast<std::uint64_t>(signed_outstanding - pool_floor_);
       fail(conn, std::move(f));
       return ran;

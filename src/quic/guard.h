@@ -146,22 +146,15 @@ bool audit_enabled_by_env();
 /// audit_enabled_by_env() was true at construction.
 class InvariantAuditor {
  public:
-  struct Config {
-    /// Outstanding pooled-buffer debt (acquires - releases) tolerated on
-    /// this thread before the auditor calls it a leak.
-    std::uint64_t max_pool_debt_slots = 1u << 16;
-    /// Invoked on the first failed check; default renders a qlog dump of
-    /// the connection's trace ring to stderr and aborts.
-    std::function<void(const Connection&, const AuditFailure&)> on_failure;
-  };
-
-  explicit InvariantAuditor(Config cfg)
-      : cfg_(std::move(cfg)), enabled_(audit_enabled_by_env()) {}
+  InvariantAuditor() : enabled_(audit_enabled_by_env()) {}
 
   bool enabled() const { return enabled_; }
+  /// Replaces the handler invoked on the first failed check; without one
+  /// the auditor renders a qlog dump of the connection's trace ring to
+  /// stderr and aborts.
   void set_on_failure(
       std::function<void(const Connection&, const AuditFailure&)> fn) {
-    cfg_.on_failure = std::move(fn);
+    on_failure_ = std::move(fn);
   }
 
   /// Walks every invariant; returns the number of checks run. Traces an
@@ -180,7 +173,7 @@ class InvariantAuditor {
  private:
   void fail(const Connection& conn, AuditFailure f);
 
-  Config cfg_;
+  std::function<void(const Connection&, const AuditFailure&)> on_failure_;
   bool enabled_;
   std::uint64_t ticks_ = 0;
   std::uint64_t checks_ = 0;

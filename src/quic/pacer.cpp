@@ -3,6 +3,17 @@
 #include <algorithm>
 
 namespace xlink::quic {
+namespace {
+
+/// Minimum credit matured per timer release (bytes). Two full packets:
+/// halves timer churn versus per-packet release at a cost of 2-packet
+/// micro-bursts.
+constexpr std::size_t kQuantumBytes = 2 * kDefaultMss;
+/// Token ceiling: an idle path accumulates at most this much credit, so the
+/// first flight after idle is still a bounded burst.
+constexpr std::size_t kBurstBytes = kInitialWindowPackets * kDefaultMss;
+
+}  // namespace
 
 void Pacer::set_rate(std::uint64_t bytes_per_sec) {
   rate_ = bytes_per_sec;
@@ -12,7 +23,7 @@ void Pacer::refill(sim::Time now) {
   if (!primed_) {
     // First use: start with a full bucket so the initial window leaves
     // unpaced (standard warm-up; there is no rate estimate yet anyway).
-    tokens_ = static_cast<std::int64_t>(config_.burst_bytes);
+    tokens_ = static_cast<std::int64_t>(kBurstBytes);
     last_refill_ = now;
     primed_ = true;
     return;
@@ -29,7 +40,7 @@ void Pacer::refill(sim::Time now) {
   last_refill_ += std::max<sim::Duration>(used, 1);
   tokens_ = std::min<std::int64_t>(
       tokens_ + static_cast<std::int64_t>(earned),
-      static_cast<std::int64_t>(config_.burst_bytes));
+      static_cast<std::int64_t>(kBurstBytes));
 }
 
 bool Pacer::can_send(sim::Time now) {
@@ -53,12 +64,12 @@ sim::Time Pacer::next_release_time(sim::Time now) const {
     tokens += static_cast<std::int64_t>(((now - last_refill_) * rate_) /
                                         1000000);
   tokens = std::min<std::int64_t>(
-      tokens, static_cast<std::int64_t>(config_.burst_bytes));
+      tokens, static_cast<std::int64_t>(kBurstBytes));
   if (tokens >= 0) return now;
   // Quantum floor: mature at least a quantum's worth of credit per timer
   // release so a near-zero debt doesn't schedule a wakeup per byte.
   const std::uint64_t needed = std::max<std::uint64_t>(
-      static_cast<std::uint64_t>(-tokens), config_.quantum_bytes);
+      static_cast<std::uint64_t>(-tokens), kQuantumBytes);
   const std::uint64_t wait_us = (needed * 1000000 + rate_ - 1) / rate_;
   return now + static_cast<sim::Duration>(std::max<std::uint64_t>(wait_us, 1));
 }

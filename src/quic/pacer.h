@@ -9,7 +9,7 @@
 // send debits its size, so the balance can go one packet negative and the
 // release time for the next packet is when the balance refills to zero.
 // The quantum floor keeps per-packet timer churn bounded: refills are
-// rounded so at least `quantum` bytes of credit mature per release.
+// rounded so at least kQuantumBytes of credit mature per release.
 #pragma once
 
 #include <cstdint>
@@ -21,13 +21,6 @@ namespace xlink::quic {
 
 struct PacerConfig {
   bool enabled = false;
-  /// Minimum credit matured per timer release (bytes). Two full packets by
-  /// default: halves timer churn versus per-packet release at a cost of
-  /// 2-packet micro-bursts.
-  std::size_t quantum_bytes = 2 * kDefaultMss;
-  /// Token ceiling: an idle path accumulates at most this much credit, so
-  /// the first flight after idle is still a bounded burst.
-  std::size_t burst_bytes = kInitialWindowPackets * kDefaultMss;
 };
 
 class Pacer {

@@ -20,8 +20,8 @@ void encode_header_to(const PacketHeader& h, W& w) {
   w.varint(h.packet_number);
 }
 
-// Parses the header into `header`; returns the header length (the AAD
-// boundary) or nullopt on malformed input.
+}  // namespace
+
 std::optional<std::size_t> parse_header(std::span<const std::uint8_t> datagram,
                                         PacketHeader& header) {
   Reader r(datagram);
@@ -44,8 +44,6 @@ std::optional<std::size_t> parse_header(std::span<const std::uint8_t> datagram,
   header.packet_number = *pn;
   return r.position();
 }
-
-}  // namespace
 
 net::PacketBuffer seal_packet_buffer(const PacketProtection& aead,
                                      const PacketHeader& header,
@@ -78,13 +76,6 @@ net::PacketBuffer seal_packet_buffer(const PacketProtection& aead,
   return out;
 }
 
-std::vector<std::uint8_t> seal_packet(const PacketProtection& aead,
-                                      const PacketHeader& header,
-                                      const std::vector<Frame>& frames) {
-  const net::PacketBuffer buf = seal_packet_buffer(aead, header, frames);
-  return std::vector<std::uint8_t>(buf.begin(), buf.end());
-}
-
 std::optional<PacketView> parse_packet_view(std::span<std::uint8_t> datagram) {
   PacketView pkt;
   const auto hdr_len = parse_header(datagram, pkt.header);
@@ -101,27 +92,6 @@ std::optional<std::span<const std::uint8_t>> open_packet_in_place(
                          pkt.header_bytes, pkt.ciphertext);
   if (!len) return std::nullopt;
   return std::span<const std::uint8_t>(pkt.ciphertext.first(*len));
-}
-
-std::optional<ReceivedPacket> parse_packet(
-    std::span<const std::uint8_t> datagram) {
-  ReceivedPacket pkt;
-  const auto hdr_len = parse_header(datagram, pkt.header);
-  if (!hdr_len) return std::nullopt;
-  pkt.header_bytes.assign(datagram.begin(),
-                          datagram.begin() + static_cast<long>(*hdr_len));
-  pkt.ciphertext.assign(datagram.begin() + static_cast<long>(*hdr_len),
-                        datagram.end());
-  return pkt;
-}
-
-std::optional<std::vector<Frame>> open_packet(const PacketProtection& aead,
-                                              const ReceivedPacket& pkt) {
-  auto plaintext =
-      aead.open(pkt.header.cid_sequence, pkt.header.packet_number,
-                pkt.header_bytes, pkt.ciphertext);
-  if (!plaintext) return std::nullopt;
-  return parse_frames(*plaintext);
 }
 
 std::size_t header_size(PacketType type, PacketNumber pn) {

@@ -1,4 +1,4 @@
-// QUIC packet header encoding and full packet seal/open.
+// QUIC packet header encoding and in-place packet seal/open.
 //
 // Two header forms, mirroring RFC 9000's long/short split with the fields
 // this simulator needs:
@@ -9,12 +9,16 @@
 // has no transport-behaviour effect). The packet number is carried in full
 // rather than truncated -- a documented simplification that costs a few
 // bytes per packet and removes PN-decoding ambiguity.
+//
+// One packet path, no copies: seal_packet_buffer seals inside a pooled
+// buffer; parse_packet_view, open_packet_in_place and parse_frames_into
+// (frame.h) each return views of their input, which the caller keeps alive
+// while it uses them.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "net/packet_buffer.h"
 #include "quic/crypto.h"
@@ -37,14 +41,6 @@ struct PacketHeader {
   PacketNumber packet_number = 0;
 };
 
-/// A parsed-but-not-yet-decrypted packet (owning copies; legacy/offline
-/// path -- the hot path uses PacketView below).
-struct ReceivedPacket {
-  PacketHeader header;
-  std::vector<std::uint8_t> header_bytes;  // AAD
-  std::vector<std::uint8_t> ciphertext;    // payload || tag
-};
-
 /// A parsed packet whose bytes still live in the receive buffer: the AAD
 /// and ciphertext are borrowed spans, and open_packet_in_place decrypts
 /// the ciphertext span directly. Valid only while the datagram is alive.
@@ -64,10 +60,12 @@ net::PacketBuffer seal_packet_buffer(const PacketProtection& aead,
                                      const PacketHeader& header,
                                      std::span<const Frame> frames);
 
-/// Copying convenience over seal_packet_buffer (tests, offline tools).
-std::vector<std::uint8_t> seal_packet(const PacketProtection& aead,
-                                      const PacketHeader& header,
-                                      const std::vector<Frame>& frames);
+/// Parses the header at the start of `datagram` into `header`; returns the
+/// header length (the AAD boundary) or nullopt on malformed input. Reads
+/// only the header, so it accepts any ciphertext, even a truncated one;
+/// routers that need only the DCID stop here.
+std::optional<std::size_t> parse_header(std::span<const std::uint8_t> datagram,
+                                        PacketHeader& header);
 
 /// Splits wire bytes into borrowed header/ciphertext views; nullopt on
 /// malformed input. The mutable span lets open_packet_in_place decrypt the
@@ -78,14 +76,6 @@ std::optional<PacketView> parse_packet_view(std::span<std::uint8_t> datagram);
 /// payload span (a prefix of pkt.ciphertext) or nullopt on auth failure.
 std::optional<std::span<const std::uint8_t>> open_packet_in_place(
     const PacketProtection& aead, const PacketView& pkt);
-
-/// Splits wire bytes into header + ciphertext; nullopt on malformed input.
-std::optional<ReceivedPacket> parse_packet(
-    std::span<const std::uint8_t> datagram);
-
-/// Decrypts and parses the frames of a received packet.
-std::optional<std::vector<Frame>> open_packet(const PacketProtection& aead,
-                                              const ReceivedPacket& pkt);
 
 /// Wire overhead of a packet header (for payload budgeting).
 std::size_t header_size(PacketType type, PacketNumber pn);

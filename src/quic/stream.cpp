@@ -38,12 +38,6 @@ std::uint64_t SendStream::frame_priority_run_end(std::uint64_t offset,
   }
 }
 
-std::vector<std::uint8_t> SendStream::read_range(std::uint64_t offset,
-                                                 std::size_t len) const {
-  const auto view = view_range(offset, len);
-  return {view.begin(), view.end()};
-}
-
 std::span<const std::uint8_t> SendStream::view_range(std::uint64_t offset,
                                                      std::size_t len) const {
   if (offset >= buffer_.size()) return {};

@@ -56,10 +56,6 @@ class SendStream {
   int priority() const { return priority_; }
   void set_priority(int p) { priority_ = p; }
 
-  /// Copies [offset, offset+len); clamps to written data.
-  std::vector<std::uint8_t> read_range(std::uint64_t offset,
-                                       std::size_t len) const;
-
   /// Borrowed view of [offset, offset+len), clamped to written data. Valid
   /// until the next write(); the send path seals the packet synchronously,
   /// so it never holds the view across a mutation.

@@ -108,14 +108,6 @@ std::optional<std::uint64_t> Reader::varint() {
   return v;
 }
 
-std::optional<std::vector<std::uint8_t>> Reader::bytes(std::size_t n) {
-  if (remaining() < n) return std::nullopt;
-  std::vector<std::uint8_t> out(data_.begin() + static_cast<long>(pos_),
-                                data_.begin() + static_cast<long>(pos_ + n));
-  pos_ += n;
-  return out;
-}
-
 std::optional<std::span<const std::uint8_t>> Reader::view(std::size_t n) {
   if (remaining() < n) return std::nullopt;
   std::span<const std::uint8_t> out = data_.subspan(pos_, n);

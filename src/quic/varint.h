@@ -105,8 +105,6 @@ class Reader {
   std::optional<std::uint8_t> u8();
   std::optional<std::uint32_t> u32();
   std::optional<std::uint64_t> varint();
-  /// Reads exactly `n` bytes.
-  std::optional<std::vector<std::uint8_t>> bytes(std::size_t n);
   /// Copies `n` bytes into `out` (avoids an allocation).
   bool bytes_into(std::span<std::uint8_t> out);
   /// Borrows `n` bytes without copying; the view shares the Reader's

@@ -9,10 +9,10 @@
 //   4. every injected fault and every path-health transition is visible in
 //      the exported qlog.
 //
-// The sweep size defaults to 60 sessions (>= 50 required) and can be
-// reduced for smoke runs via XLINK_CHAOS_SEEDS (CI sets a smaller count
-// for the sanitizer job). Plans are derived from the seed alone, so any
-// failing session replays bit-identically in isolation.
+// The sweep size defaults to 60 sessions (>= 50 required), which CI runs
+// in both its plain and its ASan/UBSan test jobs, and can be reduced for
+// local smoke runs via XLINK_CHAOS_SEEDS. Plans are derived from the seed
+// alone, so any failing session replays bit-identically in isolation.
 #include <gtest/gtest.h>
 
 #include <cstdlib>

@@ -131,10 +131,15 @@ TEST(Connection, ReadingOneStreamGrantsOnlyThatStream) {
   // Record every MAX_STREAM_DATA the client sends, in order.
   const PacketProtection aead(key);
   std::map<StreamId, std::vector<std::uint64_t>> grants;
+  std::vector<Frame> frames;
   pair.drop_client_to_server = [&](PathId, const net::Datagram& d) {
-    const auto pkt = parse_packet({d.data(), d.size()});
-    const auto frames = pkt ? open_packet(aead, *pkt) : std::nullopt;
-    for (const Frame& f : frames.value_or(std::vector<Frame>{}))
+    // Opening decrypts in place: open a copy, the datagram still flies.
+    net::PacketBuffer copy = d.clone();
+    const auto pkt = parse_packet_view(copy.span());
+    const auto payload = pkt ? open_packet_in_place(aead, *pkt) : std::nullopt;
+    frames.clear();
+    if (payload && !parse_frames_into(*payload, frames)) frames.clear();
+    for (const Frame& f : frames)
       if (const auto* m = std::get_if<MaxStreamDataFrame>(&f)) {
         auto& seen = grants[m->stream_id];
         if (seen.empty() || seen.back() != m->maximum)

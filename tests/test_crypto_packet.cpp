@@ -8,6 +8,18 @@
 namespace xlink::quic {
 namespace {
 
+/// ciphertext || tag of `plaintext`, sealed in place in a fresh buffer the
+/// way the send path seals a packet's payload.
+std::vector<std::uint8_t> sealed(const PacketProtection& aead,
+                                 std::uint32_t path, PacketNumber pn,
+                                 std::span<const std::uint8_t> aad,
+                                 std::span<const std::uint8_t> plaintext) {
+  std::vector<std::uint8_t> buf(plaintext.begin(), plaintext.end());
+  buf.resize(plaintext.size() + kAeadTagSize);
+  aead.seal_in_place(path, pn, aad, buf.data(), plaintext.size());
+  return buf;
+}
+
 TEST(Nonce, DraftLayout) {
   // 32-bit CID sequence number, 2 zero bits, 62-bit packet number.
   const Nonce n = build_multipath_nonce(0x01020304, 0x0506070805060708ULL);
@@ -34,21 +46,22 @@ TEST(Aead, SealOpenRoundtrip) {
   PacketProtection aead(0xdead);
   const std::vector<std::uint8_t> aad{1, 2, 3};
   const std::vector<std::uint8_t> plaintext{10, 20, 30, 40, 50};
-  const auto sealed = aead.seal(1, 7, aad, plaintext);
-  EXPECT_EQ(sealed.size(), plaintext.size() + kAeadTagSize);
-  const auto opened = aead.open(1, 7, aad, sealed);
+  auto buf = sealed(aead, 1, 7, aad, plaintext);
+  EXPECT_EQ(buf.size(), plaintext.size() + kAeadTagSize);
+  const auto opened = aead.open_in_place(1, 7, aad, buf);
   ASSERT_TRUE(opened.has_value());
-  EXPECT_EQ(*opened, plaintext);
+  buf.resize(*opened);
+  EXPECT_EQ(buf, plaintext);
 }
 
 TEST(Aead, CiphertextDiffersFromPlaintext) {
   PacketProtection aead(0xdead);
   const std::vector<std::uint8_t> plaintext(64, 0xaa);
   const std::vector<std::uint8_t> none;
-  const auto sealed = aead.seal(0, 0, none, plaintext);
+  const auto buf = sealed(aead, 0, 0, none, plaintext);
   bool differs = false;
   for (std::size_t i = 0; i < plaintext.size(); ++i)
-    differs |= sealed[i] != plaintext[i];
+    differs |= buf[i] != plaintext[i];
   EXPECT_TRUE(differs);
 }
 
@@ -56,59 +69,59 @@ TEST(Aead, WrongKeyFails) {
   PacketProtection a(1), b(2);
   const std::vector<std::uint8_t> none;
   const std::vector<std::uint8_t> pt{1, 2, 3};
-  const auto sealed = a.seal(0, 0, none, pt);
-  EXPECT_FALSE(b.open(0, 0, none, sealed).has_value());
+  auto buf = sealed(a, 0, 0, none, pt);
+  EXPECT_FALSE(b.open_in_place(0, 0, none, buf).has_value());
 }
 
 TEST(Aead, WrongPathIdFails) {
   PacketProtection aead(5);
   const std::vector<std::uint8_t> none;
   const std::vector<std::uint8_t> pt{1, 2, 3};
-  const auto sealed = aead.seal(1, 10, none, pt);
-  EXPECT_FALSE(aead.open(2, 10, none, sealed).has_value());
+  auto buf = sealed(aead, 1, 10, none, pt);
+  EXPECT_FALSE(aead.open_in_place(2, 10, none, buf).has_value());
 }
 
 TEST(Aead, WrongPacketNumberFails) {
   PacketProtection aead(5);
   const std::vector<std::uint8_t> none;
   const std::vector<std::uint8_t> pt{1, 2, 3};
-  const auto sealed = aead.seal(1, 10, none, pt);
-  EXPECT_FALSE(aead.open(1, 11, none, sealed).has_value());
+  auto buf = sealed(aead, 1, 10, none, pt);
+  EXPECT_FALSE(aead.open_in_place(1, 11, none, buf).has_value());
 }
 
 TEST(Aead, TamperedCiphertextFails) {
   PacketProtection aead(5);
   const std::vector<std::uint8_t> none;
   const std::vector<std::uint8_t> pt{1, 2, 3, 4};
-  auto sealed = aead.seal(1, 10, none, pt);
-  sealed[1] ^= 0x01;
-  EXPECT_FALSE(aead.open(1, 10, none, sealed).has_value());
+  auto buf = sealed(aead, 1, 10, none, pt);
+  buf[1] ^= 0x01;
+  EXPECT_FALSE(aead.open_in_place(1, 10, none, buf).has_value());
 }
 
 TEST(Aead, TamperedAadFails) {
   PacketProtection aead(5);
   const std::vector<std::uint8_t> aad{9, 9};
   const std::vector<std::uint8_t> pt{1, 2, 3};
-  const auto sealed = aead.seal(1, 10, aad, pt);
+  auto buf = sealed(aead, 1, 10, aad, pt);
   const std::vector<std::uint8_t> other_aad{9, 8};
-  EXPECT_FALSE(aead.open(1, 10, other_aad, sealed).has_value());
+  EXPECT_FALSE(aead.open_in_place(1, 10, other_aad, buf).has_value());
 }
 
 TEST(Aead, TooShortInputFails) {
   PacketProtection aead(5);
   const std::vector<std::uint8_t> none;
-  const std::vector<std::uint8_t> tiny(kAeadTagSize - 1, 0);
-  EXPECT_FALSE(aead.open(0, 0, none, tiny).has_value());
+  std::vector<std::uint8_t> tiny(kAeadTagSize - 1, 0);
+  EXPECT_FALSE(aead.open_in_place(0, 0, none, tiny).has_value());
 }
 
 TEST(Aead, EmptyPlaintextAuthenticates) {
   PacketProtection aead(5);
   const std::vector<std::uint8_t> aad{7};
   const std::vector<std::uint8_t> empty;
-  const auto sealed = aead.seal(0, 1, aad, empty);
-  const auto opened = aead.open(0, 1, aad, sealed);
+  auto buf = sealed(aead, 0, 1, aad, empty);
+  const auto opened = aead.open_in_place(0, 1, aad, buf);
   ASSERT_TRUE(opened.has_value());
-  EXPECT_TRUE(opened->empty());
+  EXPECT_EQ(*opened, 0u);
 }
 
 TEST(Aead, PayloadLengthsAroundWordAndPacketSizesRoundTrip) {
@@ -148,14 +161,24 @@ struct FullPacket {
     std::vector<std::uint8_t> data(1150);
     for (std::size_t i = 0; i < data.size(); ++i)
       data[i] = static_cast<std::uint8_t>(i * 131 + 7);
-    wire = seal_packet(aead, h, {Frame{StreamFrame{8, 4096, data, false}}});
-    const auto parsed = parse_packet(wire);
-    header_len = parsed ? parsed->header_bytes.size() : 0;
+    const Frame frame{StreamFrame{8, 4096, data, false}};
+    const net::PacketBuffer buf = seal_packet_buffer(aead, h, {&frame, 1});
+    wire.assign(buf.begin(), buf.end());
+    PacketHeader parsed;
+    header_len = parse_header(wire, parsed).value_or(0);
   }
 
+  /// Whether `bytes` parse and authenticate; opens a copy, since opening
+  /// decrypts in place.
   bool opens(std::span<const std::uint8_t> bytes) const {
-    const auto pkt = parse_packet(bytes);
-    return pkt && open_packet(aead, *pkt).has_value();
+    net::PacketBuffer copy = net::PacketBuffer::copy_of(bytes);
+    const auto pkt = parse_packet_view(copy.span());
+    return pkt && open_packet_in_place(aead, *pkt).has_value();
+  }
+
+  static bool header_parses(std::span<const std::uint8_t> bytes) {
+    PacketHeader h;
+    return parse_header(bytes, h).has_value();
   }
 };
 
@@ -168,7 +191,7 @@ TEST(AeadTamper, FullSizePacketRejectsEverySingleBitFlip) {
   for (std::size_t bit = 0; bit < p.wire.size() * 8; ++bit) {
     std::vector<std::uint8_t> mutated = p.wire;
     mutated[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-    if (!parse_packet(mutated)) continue;  // header no longer parses
+    if (!FullPacket::header_parses(mutated)) continue;  // header broken
     ++checked;
     EXPECT_FALSE(p.opens(mutated)) << "bit " << bit;
   }
@@ -181,7 +204,7 @@ TEST(AeadTamper, FullSizePacketRejectsEveryTruncation) {
   std::size_t checked = 0;
   for (std::size_t cut = 0; cut < p.wire.size(); ++cut) {
     const std::span<const std::uint8_t> prefix(p.wire.data(), cut);
-    if (!parse_packet(prefix)) continue;
+    if (!FullPacket::header_parses(prefix)) continue;
     ++checked;
     EXPECT_FALSE(p.opens(prefix)) << "cut " << cut;
   }
@@ -244,18 +267,20 @@ TEST(Packet, OneRttRoundtrip) {
   frames.emplace_back(s);
   frames.emplace_back(PingFrame{});
 
-  const auto wire = seal_packet(aead, h, frames);
-  const auto parsed = parse_packet(wire);
+  net::PacketBuffer wire = seal_packet_buffer(aead, h, frames);
+  const auto parsed = parse_packet_view(wire.span());
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->header.type, PacketType::kOneRtt);
   EXPECT_EQ(parsed->header.dcid, h.dcid);
   EXPECT_EQ(parsed->header.cid_sequence, 2u);
   EXPECT_EQ(parsed->header.packet_number, 99u);
 
-  const auto opened = open_packet(aead, *parsed);
-  ASSERT_TRUE(opened.has_value());
-  ASSERT_EQ(opened->size(), 2u);
-  EXPECT_EQ((*opened)[0], Frame{s});
+  const auto payload = open_packet_in_place(aead, *parsed);
+  ASSERT_TRUE(payload.has_value());
+  std::vector<Frame> opened;
+  ASSERT_TRUE(parse_frames_into(*payload, opened));
+  ASSERT_EQ(opened.size(), 2u);
+  EXPECT_EQ(opened[0], Frame{s});
 }
 
 TEST(Packet, InitialRoundtripCarriesScid) {
@@ -265,32 +290,35 @@ TEST(Packet, InitialRoundtripCarriesScid) {
   h.dcid = {8, 7, 6, 5, 4, 3, 2, 1};
   h.scid = {1, 1, 2, 2, 3, 3, 4, 4};
   h.packet_number = 0;
-  const auto wire =
-      seal_packet(aead, h, {Frame{CryptoFrame{0, {1, 2, 3}}}});
-  const auto parsed = parse_packet(wire);
+  const Frame crypto{CryptoFrame{0, {1, 2, 3}}};
+  net::PacketBuffer wire = seal_packet_buffer(aead, h, {&crypto, 1});
+  const auto parsed = parse_packet_view(wire.span());
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->header.type, PacketType::kInitial);
   EXPECT_EQ(parsed->header.scid, h.scid);
-  EXPECT_TRUE(open_packet(aead, *parsed).has_value());
+  EXPECT_TRUE(open_packet_in_place(aead, *parsed).has_value());
 }
 
 TEST(Packet, GarbageFailsParse) {
-  EXPECT_FALSE(parse_packet(std::vector<std::uint8_t>{}).has_value());
+  PacketHeader h;
+  EXPECT_FALSE(parse_header(std::vector<std::uint8_t>{}, h).has_value());
   EXPECT_FALSE(
-      parse_packet(std::vector<std::uint8_t>{0xff, 1, 2}).has_value());
+      parse_header(std::vector<std::uint8_t>{0xff, 1, 2}, h).has_value());
   // Valid first byte but truncated header.
-  EXPECT_FALSE(
-      parse_packet(std::vector<std::uint8_t>{0x40, 1, 2, 3}).has_value());
+  std::vector<std::uint8_t> truncated{0x40, 1, 2, 3};
+  EXPECT_FALSE(parse_header(truncated, h).has_value());
+  EXPECT_FALSE(parse_packet_view(truncated).has_value());
 }
 
 TEST(Packet, WrongKeyFailsOpen) {
   PacketProtection good(1), bad(2);
   PacketHeader h;
   h.packet_number = 5;
-  const auto wire = seal_packet(good, h, {Frame{PingFrame{}}});
-  const auto parsed = parse_packet(wire);
+  const Frame ping{PingFrame{}};
+  net::PacketBuffer wire = seal_packet_buffer(good, h, {&ping, 1});
+  const auto parsed = parse_packet_view(wire.span());
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_FALSE(open_packet(bad, *parsed).has_value());
+  EXPECT_FALSE(open_packet_in_place(bad, *parsed).has_value());
 }
 
 TEST(Packet, HeaderTamperFailsOpen) {
@@ -298,11 +326,12 @@ TEST(Packet, HeaderTamperFailsOpen) {
   PacketHeader h;
   h.packet_number = 5;
   h.cid_sequence = 0;
-  auto wire = seal_packet(aead, h, {Frame{PingFrame{}}});
+  const Frame ping{PingFrame{}};
+  net::PacketBuffer wire = seal_packet_buffer(aead, h, {&ping, 1});
   wire[2] ^= 0xff;  // flip a DCID byte (inside the AAD)
-  const auto parsed = parse_packet(wire);
+  const auto parsed = parse_packet_view(wire.span());
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_FALSE(open_packet(aead, *parsed).has_value());
+  EXPECT_FALSE(open_packet_in_place(aead, *parsed).has_value());
 }
 
 TEST(Packet, HeaderSizeMatchesWire) {
@@ -310,10 +339,10 @@ TEST(Packet, HeaderSizeMatchesWire) {
   PacketHeader h;
   h.type = PacketType::kOneRtt;
   h.packet_number = 70000;  // 4-byte varint
-  const auto wire = seal_packet(aead, h, {Frame{PingFrame{}}});
-  const auto parsed = parse_packet(wire);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->header_bytes.size(),
+  const Frame ping{PingFrame{}};
+  const net::PacketBuffer wire = seal_packet_buffer(aead, h, {&ping, 1});
+  PacketHeader parsed;
+  EXPECT_EQ(parse_header(wire, parsed),
             header_size(PacketType::kOneRtt, 70000));
 }
 

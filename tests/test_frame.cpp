@@ -7,18 +7,20 @@
 namespace xlink::quic {
 namespace {
 
-Frame roundtrip(const Frame& in) {
+/// Encodes `in`, parses it back and expects the same frame. The parsed
+/// payload views the encoding, so the comparison happens while it lives.
+void expect_roundtrip(const Frame& in) {
   Writer w;
   encode_frame(in, w);
   Reader r(w.data());
-  auto out = parse_frame(r);
-  EXPECT_TRUE(out.has_value());
+  const auto out = parse_frame(r);
+  ASSERT_TRUE(out.has_value());
   EXPECT_TRUE(r.done()) << "frame did not consume its whole encoding";
-  return *out;
+  EXPECT_EQ(*out, in);
 }
 
 TEST(Frames, PingRoundtrip) {
-  EXPECT_EQ(roundtrip(Frame{PingFrame{}}), Frame{PingFrame{}});
+  expect_roundtrip(Frame{PingFrame{}});
 }
 
 TEST(Frames, StreamRoundtrip) {
@@ -27,42 +29,42 @@ TEST(Frames, StreamRoundtrip) {
   f.offset = 987654;
   f.data = {1, 2, 3, 4, 5};
   f.fin = true;
-  EXPECT_EQ(roundtrip(Frame{f}), Frame{f});
+  expect_roundtrip(Frame{f});
 }
 
 TEST(Frames, StreamEmptyWithFin) {
   StreamFrame f;
   f.stream_id = 4;
   f.fin = true;
-  EXPECT_EQ(roundtrip(Frame{f}), Frame{f});
+  expect_roundtrip(Frame{f});
 }
 
 TEST(Frames, AckSingleRange) {
   AckFrame f;
   f.info.ack_delay_us = 250;
   f.info.ranges = {{5, 10}};
-  EXPECT_EQ(roundtrip(Frame{f}), Frame{f});
+  expect_roundtrip(Frame{f});
 }
 
 TEST(Frames, AckMultipleRanges) {
   AckFrame f;
   f.info.ack_delay_us = 1;
   f.info.ranges = {{90, 100}, {50, 70}, {10, 20}, {0, 3}};
-  EXPECT_EQ(roundtrip(Frame{f}), Frame{f});
+  expect_roundtrip(Frame{f});
 }
 
 TEST(Frames, AckAdjacentButUnmergedRangesSurvive) {
   AckFrame f;
   // Gap of exactly one missing packet between ranges.
   f.info.ranges = {{12, 20}, {5, 10}};
-  EXPECT_EQ(roundtrip(Frame{f}), Frame{f});
+  expect_roundtrip(Frame{f});
 }
 
 TEST(Frames, AckMpWithoutQoe) {
   AckMpFrame f;
   f.path_id = 3;
   f.info.ranges = {{0, 42}};
-  EXPECT_EQ(roundtrip(Frame{f}), Frame{f});
+  expect_roundtrip(Frame{f});
 }
 
 TEST(Frames, AckMpWithQoe) {
@@ -71,13 +73,13 @@ TEST(Frames, AckMpWithQoe) {
   f.info.ack_delay_us = 777;
   f.info.ranges = {{100, 220}, {10, 50}};
   f.qoe = QoeSignal{123456, 240, 2'500'000, 30};
-  EXPECT_EQ(roundtrip(Frame{f}), Frame{f});
+  expect_roundtrip(Frame{f});
 }
 
 TEST(Frames, QoeControlSignals) {
   QoeControlSignalsFrame f;
   f.qoe = QoeSignal{1, 2, 3, 4};
-  EXPECT_EQ(roundtrip(Frame{f}), Frame{f});
+  expect_roundtrip(Frame{f});
 }
 
 TEST(Frames, PathStatusRoundtripAllValues) {
@@ -88,7 +90,7 @@ TEST(Frames, PathStatusRoundtripAllValues) {
     f.path_id = 2;
     f.status_seq = 9;
     f.status = status;
-    EXPECT_EQ(roundtrip(Frame{f}), Frame{f});
+    expect_roundtrip(Frame{f});
   }
 }
 
@@ -106,21 +108,17 @@ TEST(Frames, CryptoRoundtrip) {
   CryptoFrame f;
   f.offset = 0;
   f.data = {9, 8, 7};
-  EXPECT_EQ(roundtrip(Frame{f}), Frame{f});
+  expect_roundtrip(Frame{f});
 }
 
 TEST(Frames, FlowControlFrames) {
-  EXPECT_EQ(roundtrip(Frame{MaxDataFrame{1 << 20}}),
-            Frame{MaxDataFrame{1 << 20}});
-  EXPECT_EQ(roundtrip(Frame{MaxStreamDataFrame{8, 4096}}),
-            (Frame{MaxStreamDataFrame{8, 4096}}));
+  expect_roundtrip(Frame{MaxDataFrame{1 << 20}});
+  expect_roundtrip(Frame{MaxStreamDataFrame{8, 4096}});
 }
 
 TEST(Frames, StreamControlFrames) {
-  EXPECT_EQ(roundtrip(Frame{ResetStreamFrame{4, 1, 5000}}),
-            (Frame{ResetStreamFrame{4, 1, 5000}}));
-  EXPECT_EQ(roundtrip(Frame{StopSendingFrame{4, 2}}),
-            (Frame{StopSendingFrame{4, 2}}));
+  expect_roundtrip(Frame{ResetStreamFrame{4, 1, 5000}});
+  expect_roundtrip(Frame{StopSendingFrame{4, 2}});
 }
 
 TEST(Frames, NewConnectionIdRoundtrip) {
@@ -130,28 +128,27 @@ TEST(Frames, NewConnectionIdRoundtrip) {
   for (int i = 0; i < 8; ++i) f.cid[static_cast<size_t>(i)] = static_cast<std::uint8_t>(i);
   for (int i = 0; i < 16; ++i)
     f.reset_token[static_cast<size_t>(i)] = static_cast<std::uint8_t>(0xf0 + i);
-  EXPECT_EQ(roundtrip(Frame{f}), Frame{f});
+  expect_roundtrip(Frame{f});
 }
 
 TEST(Frames, PathChallengeResponse) {
   PathChallengeFrame c;
   c.data = {1, 2, 3, 4, 5, 6, 7, 8};
-  EXPECT_EQ(roundtrip(Frame{c}), Frame{c});
+  expect_roundtrip(Frame{c});
   PathResponseFrame p;
   p.data = c.data;
-  EXPECT_EQ(roundtrip(Frame{p}), Frame{p});
+  expect_roundtrip(Frame{p});
 }
 
 TEST(Frames, ConnectionCloseWithReason) {
   ConnectionCloseFrame f;
   f.error_code = 7;
   f.reason = "bye now";
-  EXPECT_EQ(roundtrip(Frame{f}), Frame{f});
+  expect_roundtrip(Frame{f});
 }
 
 TEST(Frames, HandshakeDone) {
-  EXPECT_EQ(roundtrip(Frame{HandshakeDoneFrame{}}),
-            Frame{HandshakeDoneFrame{}});
+  expect_roundtrip(Frame{HandshakeDoneFrame{}});
 }
 
 TEST(Frames, PaddingCoalesces) {
@@ -192,16 +189,17 @@ TEST(Frames, ParseFramesWholePayload) {
   s.stream_id = 0;
   s.data = {1};
   encode_frame(Frame{s}, w);
-  const auto frames = parse_frames(w.data());
-  ASSERT_TRUE(frames.has_value());
-  EXPECT_EQ(frames->size(), 2u);
+  std::vector<Frame> frames;
+  ASSERT_TRUE(parse_frames_into(w.data(), frames));
+  EXPECT_EQ(frames.size(), 2u);
 }
 
 TEST(Frames, ParseFramesRejectsTrailingGarbage) {
   Writer w;
   encode_frame(Frame{PingFrame{}}, w);
   w.u8(0x77);  // not a valid frame start... 0x77 parses as varint type 0x37
-  EXPECT_FALSE(parse_frames(w.data()).has_value());
+  std::vector<Frame> frames;
+  EXPECT_FALSE(parse_frames_into(w.data(), frames));
 }
 
 TEST(Frames, AckEliciting) {

@@ -227,10 +227,14 @@ TEST(HostilePeer, DatagramReplayFloodClosesConnection) {
   auto& attacker = rig.aim(*rig.pair->server);
 
   // One honestly-numbered packet, replayed verbatim: same wire bytes, same
-  // packet number, cryptographically valid every time.
-  const auto wire = attacker.seal(0, attacker.next_pn(0), {Frame{quic::PingFrame{}}});
-  for (int i = 0; i < 60 && !rig.pair->server->is_closed(); ++i)
-    attacker.inject_wire(0, wire);
+  // packet number, cryptographically valid every time. The sealed buffer
+  // is pooled, so it must be gone before the leak check.
+  {
+    const net::PacketBuffer wire =
+        attacker.seal(0, attacker.next_pn(0), {Frame{quic::PingFrame{}}});
+    for (int i = 0; i < 60 && !rig.pair->server->is_closed(); ++i)
+      attacker.inject_wire(0, wire);
+  }
 
   expect_closed_with(rig, *rig.pair->server, TransportError::kProtocolViolation);
   EXPECT_GE(rig.pair->server->guard_counters().replayed_packets, 50u);
@@ -378,7 +382,7 @@ TEST(HostilePeer, PeerCloseEntersDrainingAndGoesSilent) {
   const std::size_t sent_before = rig.captured.size();
   for (int i = 0; i < 20; ++i)
     attacker.inject(0, {Frame{quic::PingFrame{}}});
-  server.pump();
+  server.pump_send();
   rig.pair->run_for(sim::seconds(2));
   EXPECT_EQ(rig.captured.size(), sent_before);
   rig.expect_no_leaks();
@@ -428,7 +432,7 @@ TEST(InvariantAuditor, CleanOnHonestTraffic) {
   Connection& server = *rig.pair->server;
   rig.pair->client->open_stream();
   rig.pair->client->stream_send(0, test::pattern_bytes(20000), true);
-  rig.pair->client->pump();
+  rig.pair->client->pump_send();
   rig.pair->run_for(sim::seconds(2));
 
   EXPECT_GT(server.audit_now(), 0u);

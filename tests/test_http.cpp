@@ -106,7 +106,6 @@ TEST(MediaServer, FirstFramePriorityMarksSendStream) {
   MediaFixture fx;
   MediaServer::Config cfg;
   cfg.first_frame_acceleration = true;
-  cfg.first_frame_priority = 3;
   MediaServer server(*fx.pair->server, cfg);
   server.add_video("v", fx.model);
   ASSERT_TRUE(fx.pair->establish());
@@ -116,8 +115,9 @@ TEST(MediaServer, FirstFramePriorityMarksSendStream) {
   fx.pair->run_for(sim::millis(50));
   auto* send = fx.pair->server->send_stream(id);
   ASSERT_NE(send, nullptr);
-  EXPECT_EQ(send->frame_priority_at(0), 3);
-  EXPECT_EQ(send->frame_priority_at(fx.model->first_frame_bytes() - 1), 3);
+  EXPECT_EQ(send->frame_priority_at(0), MediaServer::kFirstFramePriority);
+  EXPECT_EQ(send->frame_priority_at(fx.model->first_frame_bytes() - 1),
+            MediaServer::kFirstFramePriority);
   EXPECT_EQ(send->frame_priority_at(fx.model->first_frame_bytes()), 0);
 }
 

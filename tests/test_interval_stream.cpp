@@ -67,12 +67,16 @@ TEST(SendStream, WriteReturnsOffsets) {
   EXPECT_TRUE(s.fin_written());
 }
 
-TEST(SendStream, ReadRangeClampsToWritten) {
+TEST(SendStream, ViewRangeClampsToWritten) {
   SendStream s(4);
   s.write({10, 11, 12, 13}, false);
-  EXPECT_EQ(s.read_range(1, 2), (std::vector<std::uint8_t>{11, 12}));
-  EXPECT_EQ(s.read_range(3, 10), (std::vector<std::uint8_t>{13}));
-  EXPECT_TRUE(s.read_range(99, 5).empty());
+  const auto bytes = [&s](std::uint64_t offset, std::size_t len) {
+    const auto view = s.view_range(offset, len);
+    return std::vector<std::uint8_t>(view.begin(), view.end());
+  };
+  EXPECT_EQ(bytes(1, 2), (std::vector<std::uint8_t>{11, 12}));
+  EXPECT_EQ(bytes(3, 10), (std::vector<std::uint8_t>{13}));
+  EXPECT_TRUE(s.view_range(99, 5).empty());
 }
 
 TEST(SendStream, AckTrackingAndFullyAcked) {

@@ -4,6 +4,7 @@
 #include "lb/quic_lb.h"
 #include "mpquic/schedulers.h"
 #include "quic/cc_coupled.h"
+#include "quic/packet.h"
 #include "test_support.h"
 
 namespace xlink {
@@ -102,6 +103,81 @@ TEST(QuicLb, AllPathsOfAConnectionReachTheSameProcess) {
   ASSERT_EQ(destinations.size(), 1u) << "paths split across processes";
   EXPECT_EQ(destinations.begin()->first, 3);
   EXPECT_GT(destinations.begin()->second, 10);
+}
+
+// route_datagram reads only the packet header. The tests below pin what it
+// rejects (no parseable header) and that the ciphertext never matters.
+
+constexpr quic::PacketNumber kRoutedPn = 70'000;  // a 4-byte varint
+
+/// Wire bytes of a sealed PING whose DCID names `server_id`.
+std::vector<std::uint8_t> sealed_datagram(quic::PacketType type,
+                                          std::uint8_t server_id) {
+  quic::PacketHeader h;
+  h.type = type;
+  h.dcid = {9, 9, 9, 9, 9, 9, 9, 9};
+  lb::encode_server_id(h.dcid, server_id);
+  h.scid = {1, 2, 3, 4, 5, 6, 7, 8};
+  h.cid_sequence = 1;
+  h.packet_number = kRoutedPn;
+  const quic::Frame ping{quic::PingFrame{}};
+  const net::PacketBuffer wire = quic::seal_packet_buffer(
+      quic::PacketProtection(0x5eed), h, {&ping, 1});
+  return {wire.begin(), wire.end()};
+}
+
+constexpr quic::PacketType kBothHeaderForms[] = {quic::PacketType::kInitial,
+                                                 quic::PacketType::kOneRtt};
+
+TEST(QuicLb, RouteDatagramRejectsWhatHasNoHeader) {
+  const lb::QuicLbRouter router({0, 1, 2, 3});
+  EXPECT_FALSE(router.route_datagram({}).has_value());
+  // A first byte that is neither the long (0xc0) nor the short (0x40) form.
+  for (const std::uint8_t first : {0x00, 0x41, 0x80, 0xc1, 0xff}) {
+    auto wire = sealed_datagram(quic::PacketType::kOneRtt, 2);
+    wire[0] = first;
+    EXPECT_FALSE(router.route_datagram(wire).has_value()) << int(first);
+  }
+  // Every truncation inside a long and a short header.
+  for (const quic::PacketType type : kBothHeaderForms) {
+    const auto wire = sealed_datagram(type, 2);
+    const std::size_t header_len = quic::header_size(type, kRoutedPn);
+    ASSERT_LT(header_len, wire.size());
+    for (std::size_t cut = 0; cut < header_len; ++cut)
+      EXPECT_FALSE(router.route_datagram({wire.data(), cut}).has_value())
+          << "header form " << int(type) << " cut " << cut;
+  }
+}
+
+TEST(QuicLb, RoutesSealedInitialAndOneRttByServerId) {
+  const lb::QuicLbRouter router({0, 1, 2, 3});
+  for (const quic::PacketType type : kBothHeaderForms) {
+    for (std::uint8_t id = 0; id < 4; ++id) {
+      const auto dest = router.route_datagram(sealed_datagram(type, id));
+      ASSERT_TRUE(dest.has_value());
+      EXPECT_EQ(*dest, id) << "header form " << int(type);
+    }
+  }
+}
+
+TEST(QuicLb, RoutesDespiteCutOrCorruptedCiphertext) {
+  const lb::QuicLbRouter router({0, 1, 2, 3});
+  for (const quic::PacketType type : kBothHeaderForms) {
+    const auto wire = sealed_datagram(type, 1);
+    const std::size_t header_len = quic::header_size(type, kRoutedPn);
+    // The bare header, and every cut of the ciphertext and tag after it.
+    for (std::size_t cut = header_len; cut <= wire.size(); ++cut)
+      EXPECT_EQ(router.route_datagram({wire.data(), cut}),
+                std::optional<std::uint8_t>(1))
+          << "header form " << int(type) << " cut " << cut;
+    // Every ciphertext and tag byte flipped: the AEAD would reject this
+    // packet, the router still sends it to the DCID's server.
+    auto corrupted = wire;
+    for (std::size_t i = header_len; i < corrupted.size(); ++i)
+      corrupted[i] ^= 0xff;
+    EXPECT_EQ(router.route_datagram(corrupted),
+              std::optional<std::uint8_t>(1));
+  }
 }
 
 // ------------------------------------------------------------- coupled CC

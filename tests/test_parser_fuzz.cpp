@@ -4,9 +4,11 @@
 // in CI under ASan/UBSan. For one exemplar of every frame type we check
 // the round trip, then parse every truncation prefix and every single-bit
 // flip of its encoding -- the parser must return a value or nullopt, never
-// assert, read out of bounds, or overflow. Sealed packets get the same
-// sweep through parse_packet/open_packet, where every bit flip must be
-// rejected (header flips change the AAD, payload flips break the MAC).
+// assert, read out of bounds, or overflow. The sweep calls what the receive
+// path calls: parse_frames_into, whose frames borrow the swept bytes.
+// Sealed packets get the same sweep through parse_packet_view and
+// open_packet_in_place on a copy of each mutant, where every bit flip must
+// be rejected (header flips change the AAD, payload flips break the MAC).
 #include <gtest/gtest.h>
 
 #include "quic/crypto.h"
@@ -77,27 +79,29 @@ std::vector<std::uint8_t> encode_one(const Frame& f) {
 }
 
 TEST(ParserFuzz, EveryFrameTypeRoundTrips) {
+  std::vector<Frame> parsed;
   for (const Frame& f : exemplar_frames()) {
     const auto wire = encode_one(f);
-    const auto parsed = parse_frames(wire);
-    ASSERT_TRUE(parsed.has_value()) << "frame index " << f.index();
-    ASSERT_EQ(parsed->size(), 1u);
-    EXPECT_EQ(parsed->front(), f) << "frame index " << f.index();
+    parsed.clear();
+    ASSERT_TRUE(parse_frames_into(wire, parsed)) << "frame index " << f.index();
+    ASSERT_EQ(parsed.size(), 1u);
+    EXPECT_EQ(parsed.front(), f) << "frame index " << f.index();
   }
 }
 
 TEST(ParserFuzz, TruncationAtEveryOffsetNeverCrashes) {
+  std::vector<Frame> parsed;
   for (const Frame& f : exemplar_frames()) {
     const auto wire = encode_one(f);
     for (std::size_t cut = 0; cut < wire.size(); ++cut) {
       const std::span<const std::uint8_t> prefix(wire.data(), cut);
-      const auto parsed = parse_frames(prefix);
+      parsed.clear();
       // A strict prefix either fails or parses to something that encodes
       // back to exactly the prefix (e.g. a shorter padding run); it must
       // never "invent" trailing bytes.
-      if (parsed) {
+      if (parse_frames_into(prefix, parsed)) {
         Writer w;
-        for (const Frame& pf : *parsed) encode_frame(pf, w);
+        for (const Frame& pf : parsed) encode_frame(pf, w);
         EXPECT_EQ(w.data(),
                   std::vector<std::uint8_t>(wire.begin(), wire.begin() + cut))
             << "frame index " << f.index() << " cut " << cut;
@@ -107,6 +111,7 @@ TEST(ParserFuzz, TruncationAtEveryOffsetNeverCrashes) {
 }
 
 TEST(ParserFuzz, BitFlipAtEveryPositionNeverCrashes) {
+  std::vector<Frame> parsed;
   for (const Frame& f : exemplar_frames()) {
     const auto wire = encode_one(f);
     for (std::size_t bit = 0; bit < wire.size() * 8; ++bit) {
@@ -114,7 +119,8 @@ TEST(ParserFuzz, BitFlipAtEveryPositionNeverCrashes) {
       mutated[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
       // Must not crash / overflow; the result itself is unconstrained
       // (a flip can produce a different but valid frame).
-      (void)parse_frames(mutated);
+      parsed.clear();
+      (void)parse_frames_into(mutated, parsed);
     }
   }
 }
@@ -129,15 +135,18 @@ TEST(ParserFuzz, GarbageInputsNeverCrash) {
     x ^= x << 17;
     return static_cast<std::uint8_t>(x);
   };
+  std::vector<Frame> parsed;
   for (int round = 0; round < 256; ++round) {
     std::vector<std::uint8_t> buf(round);
     for (auto& b : buf) b = next();
-    (void)parse_frames(buf);
+    parsed.clear();
+    (void)parse_frames_into(buf, parsed);
   }
   // CRYPTO frame claiming 2^30 bytes of data it does not carry.
   const std::vector<std::uint8_t> liar = {0x06, 0x00, 0xC0, 0x00, 0x00,
                                           0x00, 0x40, 0x00, 0x00, 0x00};
-  EXPECT_FALSE(parse_frames(liar).has_value());
+  parsed.clear();
+  EXPECT_FALSE(parse_frames_into(liar, parsed));
 }
 
 TEST(ParserFuzz, StreamOffsetOverflowIsRejected) {
@@ -149,14 +158,16 @@ TEST(ParserFuzz, StreamOffsetOverflowIsRejected) {
   w.varint(kVarintMax);  // offset
   w.varint(1);           // length
   w.u8(0xFF);
-  EXPECT_FALSE(parse_frames(w.data()).has_value());
+  std::vector<Frame> parsed;
+  EXPECT_FALSE(parse_frames_into(w.data(), parsed));
 
   Writer c;
   c.varint(0x06);        // CRYPTO
   c.varint(kVarintMax);  // offset
   c.varint(1);
   c.u8(0xFF);
-  EXPECT_FALSE(parse_frames(c.data()).has_value());
+  parsed.clear();
+  EXPECT_FALSE(parse_frames_into(c.data(), parsed));
 }
 
 TEST(ParserFuzz, SealedPacketSurvivesTruncationAndRejectsEveryBitFlip) {
@@ -170,31 +181,36 @@ TEST(ParserFuzz, SealedPacketSurvivesTruncationAndRejectsEveryBitFlip) {
       Frame{StreamFrame{4, 128, {10, 20, 30, 40}, false}},
       Frame{PingFrame{}},
   };
-  const auto wire = seal_packet(aead, header, frames);
+  const net::PacketBuffer sealed = seal_packet_buffer(aead, header, frames);
+  const std::vector<std::uint8_t> wire(sealed.begin(), sealed.end());
 
-  // Sanity: the untampered packet opens.
+  // Sanity: the untampered packet opens, in a copy since opening decrypts
+  // in place; the parsed frames view that copy.
   {
-    const auto pkt = parse_packet(wire);
+    std::vector<std::uint8_t> copy = wire;
+    const auto pkt = parse_packet_view(copy);
     ASSERT_TRUE(pkt.has_value());
-    const auto opened = open_packet(aead, *pkt);
-    ASSERT_TRUE(opened.has_value());
-    EXPECT_EQ(*opened, frames);
+    const auto payload = open_packet_in_place(aead, *pkt);
+    ASSERT_TRUE(payload.has_value());
+    std::vector<Frame> opened;
+    ASSERT_TRUE(parse_frames_into(*payload, opened));
+    EXPECT_EQ(opened, frames);
   }
 
   for (std::size_t cut = 0; cut < wire.size(); ++cut) {
-    const std::span<const std::uint8_t> prefix(wire.data(), cut);
-    const auto pkt = parse_packet(prefix);
+    std::vector<std::uint8_t> prefix(wire.begin(), wire.begin() + cut);
+    const auto pkt = parse_packet_view(prefix);
     if (!pkt) continue;
     // Header parsed but the ciphertext is truncated: AEAD must reject.
-    EXPECT_FALSE(open_packet(aead, *pkt).has_value()) << "cut " << cut;
+    EXPECT_FALSE(open_packet_in_place(aead, *pkt).has_value()) << "cut " << cut;
   }
 
   for (std::size_t bit = 0; bit < wire.size() * 8; ++bit) {
     std::vector<std::uint8_t> mutated = wire;
     mutated[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-    const auto pkt = parse_packet(mutated);
+    const auto pkt = parse_packet_view(mutated);
     if (!pkt) continue;  // header flip made it unparseable: fine
-    EXPECT_FALSE(open_packet(aead, *pkt).has_value())
+    EXPECT_FALSE(open_packet_in_place(aead, *pkt).has_value())
         << "bit " << bit << " must break the AEAD tag";
   }
 }

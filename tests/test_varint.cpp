@@ -71,12 +71,14 @@ TEST(Reader, EmptyReads) {
 TEST(Reader, BytesAndPosition) {
   const std::vector<std::uint8_t> data{1, 2, 3, 4, 5};
   Reader r(data);
-  auto first = r.bytes(2);
+  auto first = r.view(2);
   ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(*first, (std::vector<std::uint8_t>{1, 2}));
+  EXPECT_EQ(std::vector<std::uint8_t>(first->begin(), first->end()),
+            (std::vector<std::uint8_t>{1, 2}));
+  EXPECT_EQ(first->data(), data.data());  // a view, not a copy
   EXPECT_EQ(r.position(), 2u);
   EXPECT_EQ(r.remaining(), 3u);
-  EXPECT_FALSE(r.bytes(10).has_value());
+  EXPECT_FALSE(r.view(10).has_value());
   std::array<std::uint8_t, 3> rest{};
   EXPECT_TRUE(r.bytes_into(rest));
   EXPECT_EQ(rest, (std::array<std::uint8_t, 3>{3, 4, 5}));
