@@ -57,7 +57,6 @@ harness::SessionConfig base_config(std::uint64_t seed, const Sweep& sweep,
   cfg.video.duration = sweep.video;
   cfg.video.bitrate_bps = 3'000'000;  // ladder = scaled(3M): 0.75/1.5/2.25/3
   cfg.video.first_frame_bytes = 128 * 1024;
-  cfg.client.abr.chunk_frames = 30;  // one decision per second of video
   cfg.client.max_concurrent = 2;
   cfg.paths.push_back(harness::make_path_spec(
       net::Wireless::kWifi,
@@ -90,7 +89,7 @@ ArmResult run_arm(const Arm& arm, const Sweep& sweep, bool ge_loss) {
       static_cast<std::size_t>(sweep.seeds), [&](std::size_t i) {
         auto cfg = base_config(i + 1, sweep, ge_loss);
         cfg.scheme = arm.scheme;
-        cfg.client.abr.algorithm = arm.abr;
+        cfg.client.abr = arm.abr;
         return cfg;
       });
   ArmResult a;
@@ -143,7 +142,7 @@ int main(int argc, char** argv) {
       exemplar.on()) {
     auto cfg = base_config(1, sweep, /*ge_loss=*/true);
     cfg.scheme = core::Scheme::kXlink;
-    cfg.client.abr.algorithm = video::AbrAlgorithm::kHybrid;
+    cfg.client.abr = video::AbrAlgorithm::kHybrid;
     exemplar.apply(cfg, "abr_ablation");
     harness::Session(std::move(cfg)).run();
   }

@@ -199,7 +199,7 @@ struct DatapathPerf {
 DatapathPerf bench_packet_datapath(std::uint64_t packets) {
   sim::EventLoop loop;
   net::LinkConfig cfg;
-  net::FixedRateLink link(loop, 1e9, cfg, sim::Rng(1));
+  net::Link link(loop, 1e9, cfg, sim::Rng(1));
 
   quic::PacketProtection aead(0x5eed);
   std::vector<std::uint8_t> payload_src(1200, 0xab);

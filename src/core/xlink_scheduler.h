@@ -53,13 +53,8 @@ class XlinkScheduler final : public quic::Scheduler {
 
   std::string name() const override { return "xlink"; }
 
-  const ReinjectionStats& reinjection_stats() const { return engine_.stats(); }
-  const DoubleThresholdController& controller() const { return controller_; }
-
   /// Last re-injection gating decision (for instrumentation/benches).
   bool last_decision() const { return last_decision_; }
-
-  XlinkRedundancy redundancy() const { return config_.redundancy; }
 
  private:
   XlinkSchedulerConfig config_;

@@ -6,18 +6,9 @@
 
 namespace xlink::fec {
 
-const FecScheme& scheme_for(FecConfig::SchemeKind kind) {
-  static const XorParity xor_scheme;
-  static const ReedSolomon rs_scheme;
-  if (kind == FecConfig::SchemeKind::kXor)
-    return static_cast<const FecScheme&>(xor_scheme);
-  return rs_scheme;
-}
-
 // ----------------------------------------------------------------- FecFramer
 
-FecFramer::FecFramer(const FecConfig& cfg)
-    : cfg_(cfg), scheme_(scheme_for(cfg.scheme)) {
+FecFramer::FecFramer(const FecConfig& cfg) : cfg_(cfg) {
   cfg_.window = std::clamp<std::size_t>(cfg_.window, 1, kMaxSources);
   cfg_.max_repairs = std::clamp<std::size_t>(cfg_.max_repairs, 1, kMaxRepairs);
   cfg_.min_repairs = std::clamp<std::size_t>(cfg_.min_repairs, 0,
@@ -44,18 +35,16 @@ FecFramer::PathSender& FecFramer::sender(quic::PathId path) {
 }
 
 std::size_t FecFramer::decide_repairs(double loss_estimate) const {
-  const std::size_t ceiling =
-      std::min(cfg_.max_repairs, scheme_.max_repairs(cfg_.window));
-  if (ceiling == 0) return 0;
+  // The constructor clamped min_repairs <= max_repairs <= kMaxRepairs.
   const double want = std::ceil(static_cast<double>(cfg_.window) *
                                 std::max(0.0, loss_estimate) *
                                 cfg_.loss_multiplier);
   std::size_t r = cfg_.min_repairs;
   if (want > static_cast<double>(r))
-    r = want >= static_cast<double>(ceiling)
-            ? ceiling
+    r = want >= static_cast<double>(cfg_.max_repairs)
+            ? cfg_.max_repairs
             : static_cast<std::size_t>(want);
-  return std::min(r, ceiling);
+  return r;
 }
 
 void FecFramer::on_packet_sent(quic::PathId path, quic::PacketNumber pn,
@@ -105,7 +94,7 @@ void FecFramer::on_packet_sent(quic::PathId path, quic::PacketNumber pn,
       s.repairs[j].resize(s.max_symbol);
       rep_spans[j] = s.repairs[j].span();
     }
-    scheme_.encode({src_spans.data(), k}, {rep_spans.data(), r});
+    ReedSolomon::encode({src_spans.data(), k}, {rep_spans.data(), r});
     for (std::size_t j = 0; j < r; ++j) {
       quic::RepairFrame f;
       f.path_id = path;
@@ -131,7 +120,7 @@ bool FecFramer::covers(quic::PathId path, quic::PacketNumber pn,
     for (const Cover& c : p.covers) {
       if (!c.emitted || c.k == 0) continue;
       if (pn < c.first_pn || pn >= c.first_pn + c.k) continue;
-      if (now - c.at <= cfg_.cover_linger) return true;
+      if (now - c.at <= kCoverLinger) return true;
     }
     return false;
   }
@@ -140,8 +129,7 @@ bool FecFramer::covers(quic::PathId path, quic::PacketNumber pn,
 
 // ------------------------------------------------------------ RecoveryBuffer
 
-RecoveryBuffer::RecoveryBuffer(const FecConfig& cfg)
-    : cfg_(cfg), scheme_(scheme_for(cfg.scheme)) {}
+RecoveryBuffer::RecoveryBuffer(const FecConfig& cfg) : cfg_(cfg) {}
 
 RecoveryBuffer::PathRecv& RecoveryBuffer::recv(quic::PathId path) {
   for (auto& p : paths_)
@@ -267,7 +255,7 @@ RecoveryBuffer::RepairOutcome RecoveryBuffer::on_repair(
     res.wasted = 1;
     return res;
   }
-  if (f.payload.size() > cfg_.max_symbol_bytes) {
+  if (f.payload.size() > kMaxSymbolBytes) {
     // An honest symbol fits the sealed MTU; refusing the copy here keeps a
     // REPAIR bomb from landing arbitrary-size buffers in pending windows.
     ++stats_.oversize_rejected;
@@ -378,8 +366,8 @@ RecoveryBuffer::RepairOutcome RecoveryBuffer::on_repair(
     repairs[j].index = w->repair_index[j];
   }
 
-  if (!scheme_.recover({sources.data(), w->k},
-                       {repairs.data(), w->repair_count})) {
+  if (!ReedSolomon::recover({sources.data(), w->k},
+                            {repairs.data(), w->repair_count})) {
     stats_.wasted += w->repair_count;
     res.wasted += w->repair_count;
     ++stats_.unrecoverable;

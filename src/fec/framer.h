@@ -32,39 +32,36 @@
 
 namespace xlink::fec {
 
+/// Data-packet payload cap while FEC is on, so a repair symbol (sealed
+/// wire + 2-byte length prefix + REPAIR frame header) still fits one
+/// packet payload.
+inline constexpr std::size_t kPayloadCap = 1280;
+/// How long an emitted repair window suppresses re-injection of the
+/// packets it covers (mutual awareness with the ReinjectionEngine).
+inline constexpr sim::Duration kCoverLinger = sim::millis(300);
+/// Largest REPAIR symbol a receiver accepts: a real symbol is bounded by
+/// the sealed MTU plus its 2-byte length prefix. The RecoveryBuffer
+/// refuses to copy a larger one, and the connection closes on it.
+inline constexpr std::size_t kMaxSymbolBytes = 2048;
+
 struct FecConfig {
   bool enabled = false;
   /// Sender-side protection; receivers keep only the RecoveryBuffer. The
   /// harness enables this on the video server, not the client.
   bool protect = true;
-  enum class SchemeKind : std::uint8_t { kXor, kReedSolomon };
-  SchemeKind scheme = SchemeKind::kReedSolomon;
   std::size_t window = 8;         // k: source packets per window
   std::size_t min_repairs = 1;    // r floor while the gate allows FEC
   std::size_t max_repairs = 4;    // r ceiling (<= kMaxRepairs)
   /// r = clamp(ceil(k * loss_estimate * loss_multiplier)): headroom over
   /// the average loss rate so burst erasures stay within the budget.
   double loss_multiplier = 3.0;
-  /// Data-packet payload cap while FEC is on, so a repair symbol (sealed
-  /// wire + 2-byte length prefix + REPAIR frame header) still fits one
-  /// packet payload.
-  std::size_t payload_cap = 1280;
-  /// How long an emitted repair window suppresses re-injection of the
-  /// packets it covers (mutual awareness with the ReinjectionEngine).
-  sim::Duration cover_linger = sim::millis(300);
 
-  // Receiver-side bounds (hostile-peer hardening).
+  // Receiver-side bound (hostile-peer hardening).
   /// Per-path cap on stashed source-symbol bytes. Honest traffic needs at
   /// most kStash * (2 + kMaxDatagramSize) ~= 91 KB; oversize datagram bombs
   /// hit this cap and evict drop-oldest (traced as fec:stash_evicted).
   std::size_t stash_bytes_cap = 160 * 1024;
-  /// Largest REPAIR symbol the RecoveryBuffer will copy; a real symbol is
-  /// bounded by the sealed MTU plus its 2-byte length prefix.
-  std::size_t max_symbol_bytes = 2048;
 };
-
-/// Static scheme instance for a config kind.
-const FecScheme& scheme_for(FecConfig::SchemeKind kind);
 
 class FecFramer {
  public:
@@ -123,7 +120,6 @@ class FecFramer {
   std::size_t decide_repairs(double loss_estimate) const;
 
   FecConfig cfg_;
-  const FecScheme& scheme_;
   bool gate_ = true;
   std::array<PathSender, kMaxPaths> paths_;
   Stats stats_;
@@ -163,7 +159,7 @@ class RecoveryBuffer {
     std::uint64_t windows_observed = 0;
     std::uint64_t unrecoverable = 0;   // windows past the repair budget
     std::uint64_t stash_evicted = 0;   // entries dropped by the byte cap
-    std::uint64_t oversize_rejected = 0;  // symbols over max_symbol_bytes
+    std::uint64_t oversize_rejected = 0;  // symbols over kMaxSymbolBytes
   };
   const Stats& stats() const { return stats_; }
 
@@ -219,7 +215,6 @@ class RecoveryBuffer {
   void drop_window(Pending& w);
 
   FecConfig cfg_;
-  const FecScheme& scheme_;
   std::array<PathRecv, kMaxPaths> paths_;
   std::array<net::PacketBuffer, kMaxRepairs> decode_scratch_;
   Stats stats_;

@@ -12,34 +12,6 @@ void zero_fill(std::span<std::uint8_t> s) {
 
 }  // namespace
 
-// ---------------------------------------------------------------- XorParity
-
-void XorParity::encode(std::span<const std::span<const std::uint8_t>> sources,
-                       std::span<const std::span<std::uint8_t>> repairs) const {
-  if (repairs.empty()) return;
-  zero_fill(repairs[0]);
-  for (const auto& src : sources) gf_addmul(repairs[0], src, 1);
-}
-
-bool XorParity::recover(std::span<SourceSymbol> sources,
-                        std::span<RepairSymbol> repairs) const {
-  SourceSymbol* missing = nullptr;
-  for (auto& s : sources) {
-    if (s.present) continue;
-    if (missing) return false;  // XOR parity recovers at most one erasure
-    missing = &s;
-  }
-  if (!missing) return true;
-  if (repairs.empty()) return false;
-  zero_fill(missing->data);
-  gf_addmul(missing->data, repairs[0].data, 1);
-  for (const auto& s : sources) {
-    if (s.present) gf_addmul(missing->data, s.data, 1);
-  }
-  missing->present = true;
-  return true;
-}
-
 // -------------------------------------------------------------- ReedSolomon
 
 std::uint8_t ReedSolomon::coefficient(std::size_t k, std::uint32_t repair_index,
@@ -52,7 +24,7 @@ std::uint8_t ReedSolomon::coefficient(std::size_t k, std::uint32_t repair_index,
 }
 
 void ReedSolomon::encode(std::span<const std::span<const std::uint8_t>> sources,
-                         std::span<const std::span<std::uint8_t>> repairs) const {
+                         std::span<const std::span<std::uint8_t>> repairs) {
   const std::size_t k = sources.size();
   for (std::size_t j = 0; j < repairs.size(); ++j) {
     zero_fill(repairs[j]);
@@ -64,7 +36,7 @@ void ReedSolomon::encode(std::span<const std::span<const std::uint8_t>> sources,
 }
 
 bool ReedSolomon::recover(std::span<SourceSymbol> sources,
-                          std::span<RepairSymbol> repairs) const {
+                          std::span<RepairSymbol> repairs) {
   const std::size_t k = sources.size();
   if (k > kMaxSources) return false;
 

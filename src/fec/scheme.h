@@ -1,20 +1,16 @@
 #pragma once
 
-// Erasure-code schemes behind a common interface.
+// The erasure code: systematic Cauchy Reed-Solomon over GF(2^8).
 //
-// A *window* is k equal-length source symbols plus r repair symbols. Both
-// schemes are systematic: source symbols travel untouched, repair symbols
-// are linear combinations over GF(2^8).
-//
-//   XorParity    r == 1 only; the repair symbol is the XOR of all sources.
-//                One lookup-free pass; recovers any single erasure.
-//   ReedSolomon  Cauchy-matrix RS: coefficient(j, i) = 1 / ((k + j) XOR i),
-//                so the stacked [I; C] generator is MDS -- ANY r erasures
-//                are recoverable from any k of the k+r symbols.
+// A *window* is k equal-length source symbols plus r repair symbols.
+// Source symbols travel untouched; repair symbols are linear combinations
+// over GF(2^8) with coefficient(j, i) = 1 / ((k + j) XOR i), so the stacked
+// [I; C] generator is MDS -- ANY r erasures are recoverable from any k of
+// the k+r symbols.
 //
 // Encode and decode write into caller-provided storage and use only
-// fixed-size stack scratch: no heap allocations on the warm path (PR 5
-// discipline). Repair buffers passed to recover() are clobbered.
+// fixed-size stack scratch: no heap allocations on the warm path. Repair
+// buffers passed to recover() are clobbered.
 
 #include <cstddef>
 #include <cstdint>
@@ -41,55 +37,25 @@ struct RepairSymbol {
   std::uint32_t index = 0;
 };
 
-class FecScheme {
- public:
-  virtual ~FecScheme() = default;
-
-  /// Max repair symbols this scheme supports for a window of k sources.
-  virtual std::size_t max_repairs(std::size_t k) const = 0;
-
-  /// Compute `repairs.size()` repair symbols over the k = `sources.size()`
-  /// source symbols. Every repair span must be at least as long as the
-  /// longest source span; repairs are zero-filled first, then accumulated.
-  virtual void encode(std::span<const std::span<const std::uint8_t>> sources,
-                      std::span<const std::span<std::uint8_t>> repairs) const = 0;
-
-  /// Reconstruct the missing entries of `sources` from the available
-  /// repairs. Returns true if every missing symbol was recovered (requires
-  /// #missing <= repairs.size()). Repair payloads are clobbered.
-  virtual bool recover(std::span<SourceSymbol> sources,
-                       std::span<RepairSymbol> repairs) const = 0;
-
-  virtual const char* name() const = 0;
-};
-
-/// Single-parity XOR: r == 1, recovers exactly one erasure.
-class XorParity final : public FecScheme {
- public:
-  std::size_t max_repairs(std::size_t) const override { return 1; }
-  void encode(std::span<const std::span<const std::uint8_t>> sources,
-              std::span<const std::span<std::uint8_t>> repairs) const override;
-  bool recover(std::span<SourceSymbol> sources,
-               std::span<RepairSymbol> repairs) const override;
-  const char* name() const override { return "xor"; }
-};
-
 /// Systematic Cauchy Reed-Solomon over GF(2^8).
-class ReedSolomon final : public FecScheme {
+class ReedSolomon {
  public:
   /// Generator coefficient applied to source i when forming repair j of a
   /// k-source window. Exposed for the property tests.
   static std::uint8_t coefficient(std::size_t k, std::uint32_t repair_index,
                                   std::size_t source_index);
 
-  std::size_t max_repairs(std::size_t k) const override {
-    return k < 256 - kMaxRepairs ? kMaxRepairs : 0;
-  }
-  void encode(std::span<const std::span<const std::uint8_t>> sources,
-              std::span<const std::span<std::uint8_t>> repairs) const override;
-  bool recover(std::span<SourceSymbol> sources,
-               std::span<RepairSymbol> repairs) const override;
-  const char* name() const override { return "rs"; }
+  /// Compute `repairs.size()` repair symbols over the k = `sources.size()`
+  /// source symbols. Every repair span must be at least as long as the
+  /// longest source span; repairs are zero-filled first, then accumulated.
+  static void encode(std::span<const std::span<const std::uint8_t>> sources,
+                     std::span<const std::span<std::uint8_t>> repairs);
+
+  /// Reconstruct the missing entries of `sources` from the available
+  /// repairs. Returns true if every missing symbol was recovered (requires
+  /// #missing <= repairs.size()). Repair payloads are clobbered.
+  static bool recover(std::span<SourceSymbol> sources,
+                      std::span<RepairSymbol> repairs);
 };
 
 }  // namespace xlink::fec

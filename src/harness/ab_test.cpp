@@ -33,10 +33,9 @@ SessionConfig draw_session_conditions(const PopulationConfig& pop,
   cfg.client.chunk_bytes = 256 * 1024 +
                            128 * 1024 * rng.uniform(3);  // 256-512 KB
   cfg.client.max_concurrent = 2 + static_cast<int>(rng.uniform(2));
-  // ABR workload knobs (no RNG draws: adding ABR to a population must not
+  // ABR workload knob (no RNG draw: adding ABR to a population must not
   // perturb the conditions a fixed-bitrate population would draw).
-  cfg.client.abr.algorithm = pop.abr;
-  cfg.client.abr.chunk_frames = pop.abr_chunk_frames;
+  cfg.client.abr = pop.abr;
 
   const bool outage_heavy = rng.chance(pop.p_outage_heavy);
   const bool moderate_wifi = rng.chance(pop.p_walking_wifi);

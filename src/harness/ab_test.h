@@ -37,8 +37,6 @@ struct PopulationConfig {
   /// legacy fixed-bitrate workload). The ladder is derived per session
   /// from the drawn video bitrate (BitrateLadder::scaled).
   video::AbrAlgorithm abr = video::AbrAlgorithm::kFixed;
-  /// Frames per ABR chunk (adaptation granularity).
-  std::uint32_t abr_chunk_frames = 30;
 };
 
 struct DayMetrics {

@@ -91,15 +91,12 @@ Session::Session(SessionConfig config) : config_(std::move(config)) {
                                                       config_.server);
   media_server_->add_video(config_.client.resource, video_model_);
 
-  if (config_.client.abr.algorithm != video::AbrAlgorithm::kFixed) {
+  if (config_.client.abr != video::AbrAlgorithm::kFixed) {
     // One RenditionSet shared by client (chunk decisions) and server
     // (serving every rung). The top rung is the drawn video spec, already
     // registered under the base resource above.
-    video::BitrateLadder ladder = config_.client.abr.ladder;
-    if (ladder.bitrates_bps.empty())
-      ladder = video::BitrateLadder::scaled(config_.video.bitrate_bps);
     renditions_ = std::make_shared<const video::RenditionSet>(
-        config_.video, std::move(ladder));
+        config_.video, video::BitrateLadder::scaled(config_.video.bitrate_bps));
     for (std::size_t r = 0; r < renditions_->top_rung(); ++r) {
       media_server_->add_video(
           video::rendition_resource(config_.client.resource, r,
@@ -139,11 +136,6 @@ Session::Session(SessionConfig config) : config_(std::move(config)) {
     // conduit the scheduler's feedback loop does, not the live player.
     media_client_->set_qoe_source(
         [this]() { return qoe_capture_->latest(); });
-    if (config_.standalone_qoe_feedback) {
-      qoe_sender_ = std::make_unique<core::QoeFeedbackSender>(
-          *client_conn_, [this]() { return qoe_capture_->latest(); },
-          core::QoeFeedbackSender::Config{});
-    }
   }
 
   client_conn_->on_established = [this] {

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "core/qoe_feedback.h"
 #include "core/session.h"
 #include "harness/endpoint.h"
 #include "http/media_client.h"
@@ -48,10 +47,6 @@ struct SessionConfig {
   video::VideoSpec video;
   http::MediaClient::Config client;
   http::MediaServer::Config server;
-  /// Also send standalone QOE_CONTROL_SIGNALS frames decoupled from acks
-  /// (the multipath draft's mechanism; the deployed paper system relied on
-  /// ACK_MP piggybacking alone).
-  bool standalone_qoe_feedback = false;
   sim::Duration time_limit = sim::seconds(120);
   /// Reorder candidate paths by the wireless-aware primary rank (§5.3).
   bool wireless_aware_primary = true;
@@ -154,7 +149,6 @@ class Session {
   std::unique_ptr<http::MediaClient> media_client_;
   std::unique_ptr<video::VideoPlayer> player_;
   std::unique_ptr<video::QoeCapture> qoe_capture_;
-  std::unique_ptr<core::QoeFeedbackSender> qoe_sender_;
 
   std::size_t paths_opened_ = 1;
   // CM policy state.

@@ -126,20 +126,6 @@ core::XlinkRedundancy redundancy_from_key(const std::string& key) {
   fail("unknown redundancy key '" + key + "'");
 }
 
-std::string fec_scheme_key(fec::FecConfig::SchemeKind s) {
-  switch (s) {
-    case fec::FecConfig::SchemeKind::kXor: return "xor";
-    case fec::FecConfig::SchemeKind::kReedSolomon: return "reed_solomon";
-  }
-  fail("unknown fec scheme enum value");
-}
-
-fec::FecConfig::SchemeKind fec_scheme_from_key(const std::string& key) {
-  if (key == "xor") return fec::FecConfig::SchemeKind::kXor;
-  if (key == "reed_solomon") return fec::FecConfig::SchemeKind::kReedSolomon;
-  fail("unknown fec scheme key '" + key + "'");
-}
-
 std::string insert_mode_key(quic::InsertMode m) {
   switch (m) {
     case quic::InsertMode::kAppend: return "append";
@@ -254,13 +240,10 @@ void write_options(JsonWriter& w, const core::SchemeOptions& o) {
   w.kv("ack_policy", ack_policy_key(o.xlink_ack_policy));
   w.kv("insert_mode", insert_mode_key(o.xlink_insert_mode));
   w.kv("redundancy", redundancy_key(o.xlink_redundancy));
-  w.kv("fec_scheme", fec_scheme_key(o.fec.scheme));
   kv_u64(w, "fec_window", o.fec.window);
   kv_u64(w, "fec_min_repairs", o.fec.min_repairs);
   kv_u64(w, "fec_max_repairs", o.fec.max_repairs);
   kv_double(w, "fec_loss_multiplier", o.fec.loss_multiplier);
-  kv_u64(w, "fec_payload_cap", o.fec.payload_cap);
-  kv_u64(w, "fec_cover_linger_us", o.fec.cover_linger);
   kv_u64(w, "aead_key", o.aead_key);
   w.kv("pacing", o.pacing);
   w.end_object();
@@ -275,13 +258,10 @@ core::SchemeOptions parse_options(const JsonValue& v) {
   o.xlink_ack_policy = ack_policy_from_key(parse_str(v, "ack_policy"));
   o.xlink_insert_mode = insert_mode_from_key(parse_str(v, "insert_mode"));
   o.xlink_redundancy = redundancy_from_key(parse_str(v, "redundancy"));
-  o.fec.scheme = fec_scheme_from_key(parse_str(v, "fec_scheme"));
   o.fec.window = parse_u64(v, "fec_window");
   o.fec.min_repairs = parse_u64(v, "fec_min_repairs");
   o.fec.max_repairs = parse_u64(v, "fec_max_repairs");
   o.fec.loss_multiplier = parse_double(v, "fec_loss_multiplier");
-  o.fec.payload_cap = parse_u64(v, "fec_payload_cap");
-  o.fec.cover_linger = parse_u64(v, "fec_cover_linger_us");
   o.aead_key = parse_u64(v, "aead_key");
   o.pacing = parse_bool(v, "pacing");
   return o;
@@ -298,7 +278,6 @@ void write_population(JsonWriter& w, const PopulationConfig& p) {
   kv_double(w, "max_loss", p.max_loss);
   kv_u64(w, "time_limit_us", p.time_limit);
   w.kv("abr", video::to_string(p.abr));
-  kv_u64(w, "abr_chunk_frames", p.abr_chunk_frames);
   w.end_object();
 }
 
@@ -316,8 +295,6 @@ PopulationConfig parse_population(const JsonValue& v) {
   const auto abr = video::abr_algorithm_from_string(abr_key);
   if (!abr) fail("unknown abr algorithm: " + abr_key);
   p.abr = *abr;
-  p.abr_chunk_frames =
-      static_cast<std::uint32_t>(parse_u64(v, "abr_chunk_frames"));
   return p;
 }
 

@@ -13,18 +13,11 @@ MediaClient::MediaClient(quic::Connection& conn,
       model_(model),
       config_(std::move(config)),
       renditions_(std::move(renditions)) {
-  if (config_.abr.algorithm != video::AbrAlgorithm::kFixed) {
-    video::AbrConfig abr_cfg = config_.abr;
-    if (abr_cfg.ladder.bitrates_bps.empty())
-      abr_cfg.ladder = video::BitrateLadder::scaled(model_.spec().bitrate_bps);
-    if (!renditions_)
-      renditions_ = std::make_shared<const video::RenditionSet>(
-          model_.spec(), abr_cfg.ladder);
-    abr_ = video::make_abr_controller(abr_cfg, renditions_->ladder());
-    // Frame-aligned chunks: one rendition decision per chunk_frames frames.
+  if (config_.abr != video::AbrAlgorithm::kFixed) {
+    abr_ = video::make_abr_controller(config_.abr, renditions_->ladder());
+    // Frame-aligned chunks: one rendition decision per kAbrChunkFrames.
     const std::uint32_t frames = model_.frame_count();
-    const std::uint32_t per =
-        std::max<std::uint32_t>(1, abr_cfg.chunk_frames);
+    const std::uint32_t per = video::kAbrChunkFrames;
     for (std::uint32_t begin = 0; begin < frames; begin += per) {
       AbrChunk ck;
       ck.begin_frame = begin;

@@ -34,9 +34,9 @@ class MediaClient {
     std::uint64_t chunk_bytes = 512 * 1024;
     int max_concurrent = 2;  // concurrent chunk streams (pre-fetch)
     bool verify_content = false;
-    /// abr.algorithm != kFixed switches the client to frame-aligned
-    /// chunks with per-chunk rendition selection.
-    video::AbrConfig abr;
+    /// Anything but kFixed switches the client to frame-aligned chunks
+    /// (video::kAbrChunkFrames each) with per-chunk rendition selection.
+    video::AbrAlgorithm abr = video::AbrAlgorithm::kFixed;
   };
 
   struct ChunkMetrics {
@@ -61,9 +61,8 @@ class MediaClient {
     double bitrate_utility = 0.0;
   };
 
-  /// `renditions` must outlive the client and is required when ABR is on;
-  /// the top rung must match `model`'s spec. The fixed-bitrate path
-  /// ignores it.
+  /// `renditions` is required when ABR is on; its top rung must match
+  /// `model`'s spec. The fixed-bitrate path ignores it.
   MediaClient(quic::Connection& conn, const video::VideoModel& model,
               Config config,
               std::shared_ptr<const video::RenditionSet> renditions = nullptr);
@@ -109,10 +108,6 @@ class MediaClient {
 
   bool abr_enabled() const { return abr_ != nullptr; }
   AbrSummary abr_summary() const;
-  /// Rung chosen for an issued chunk (conformance tests / benches).
-  std::size_t chunk_rung(std::size_t chunk) const {
-    return abr_chunks_[chunk].rung;
-  }
 
  private:
   struct AbrChunk {

@@ -2,8 +2,6 @@
 //
 //  - MinRtt: the vanilla-MP scheduler of the paper's §3 (MPQUIC's default,
 //    also Linux MPTCP's default). No re-injection.
-//  - RoundRobin: naive alternation; exists as a lower baseline and for
-//    tests that need deterministic path interleaving.
 //  - Redundant: duplicates every in-flight packet onto the other path as
 //    soon as capacity allows (Raven-style full redundancy); upper bound on
 //    robustness, worst case on cost.
@@ -20,7 +18,6 @@
 namespace xlink::mpquic {
 
 std::shared_ptr<quic::Scheduler> make_min_rtt_scheduler();
-std::shared_ptr<quic::Scheduler> make_round_robin_scheduler();
 std::shared_ptr<quic::Scheduler> make_redundant_scheduler();
 /// Prediction-based related work (paper §8): simplified ECF and BLEST.
 std::shared_ptr<quic::Scheduler> make_ecf_scheduler();

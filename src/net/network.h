@@ -33,16 +33,6 @@ class Network {
   EmulatedPath& path(std::size_t i) { return *paths_.at(i); }
   const EmulatedPath& path(std::size_t i) const { return *paths_.at(i); }
 
-  /// Total bytes the server pushed into downlinks (the CDN egress the cost
-  /// metric is measured on).
-  std::uint64_t total_down_enqueued_bytes() const {
-    std::uint64_t sum = 0;
-    for (const auto& p : paths_) {
-      sum += p->down_stats().bytes_delivered;
-    }
-    return sum;
-  }
-
  private:
   sim::EventLoop& loop_;
   sim::Rng rng_;

@@ -2,12 +2,29 @@
 
 namespace xlink::net {
 
+namespace {
+
+LinkConfig link_config(const PathSpec& spec) {
+  LinkConfig cfg;
+  cfg.propagation_delay = spec.one_way_delay;
+  cfg.queue_capacity_bytes = spec.queue_capacity_bytes;
+  cfg.loss_rate = spec.loss_rate;
+  cfg.ge_loss = spec.ge_loss;
+  return cfg;
+}
+
+}  // namespace
+
 EmulatedPath::EmulatedPath(sim::EventLoop& loop, PathSpec spec, sim::Rng rng,
                            telemetry::TraceSink* trace,
                            std::uint8_t path_index)
-    : loop_(loop), spec_(std::move(spec)) {
-  up_ = make_link(loop, spec_.up_trace, rng.fork());
-  down_ = make_link(loop, spec_.down_trace, rng.fork());
+    : loop_(loop),
+      spec_(std::move(spec)),
+      up_(loop, spec_.fixed_rate_mbps * 1e6, link_config(spec_), rng.fork()),
+      down_(spec_.down_trace
+                ? Link(loop, *spec_.down_trace, link_config(spec_), rng.fork())
+                : Link(loop, spec_.fixed_rate_mbps * 1e6, link_config(spec_),
+                       rng.fork())) {
   if (!spec_.fault_plan.empty()) {
     faults_ = std::make_unique<FaultInjector>(loop, spec_.fault_plan,
                                               rng.fork(), trace, path_index);
@@ -16,22 +33,22 @@ EmulatedPath::EmulatedPath(sim::EventLoop& loop, PathSpec spec, sim::Rng rng,
 
 void EmulatedPath::set_up_receiver(Link::DeliverFn fn) {
   if (!faults_) {
-    up_->set_receiver(std::move(fn));
+    up_.set_receiver(std::move(fn));
     return;
   }
   up_fn_ = std::move(fn);
-  up_->set_receiver([this](Datagram d) {
+  up_.set_receiver([this](Datagram d) {
     deliver_faulted(FaultInjector::Direction::kUp, std::move(d));
   });
 }
 
 void EmulatedPath::set_down_receiver(Link::DeliverFn fn) {
   if (!faults_) {
-    down_->set_receiver(std::move(fn));
+    down_.set_receiver(std::move(fn));
     return;
   }
   down_fn_ = std::move(fn);
-  down_->set_receiver([this](Datagram d) {
+  down_.set_receiver([this](Datagram d) {
     deliver_faulted(FaultInjector::Direction::kDown, std::move(d));
   });
 }
@@ -48,32 +65,6 @@ void EmulatedPath::deliver_faulted(FaultInjector::Direction dir, Datagram d) {
   loop_.schedule_in(extra, [this, dir, d = std::move(d)]() mutable {
     (dir == FaultInjector::Direction::kUp ? up_fn_ : down_fn_)(std::move(d));
   });
-}
-
-std::unique_ptr<Link> EmulatedPath::make_link(
-    sim::EventLoop& loop, const std::optional<trace::LinkTrace>& t,
-    sim::Rng rng) const {
-  LinkConfig cfg;
-  cfg.propagation_delay = spec_.one_way_delay;
-  cfg.queue_capacity_bytes = spec_.queue_capacity_bytes;
-  if (spec_.loss_rate > 0.0 && spec_.ge_loss) {
-    std::vector<std::unique_ptr<LossModel>> models;
-    models.push_back(std::make_unique<BernoulliLoss>(spec_.loss_rate));
-    models.push_back(std::make_unique<GilbertElliottLoss>(
-        spec_.ge_loss->p_good_to_bad, spec_.ge_loss->p_bad_to_good,
-        spec_.ge_loss->loss_good, spec_.ge_loss->loss_bad));
-    cfg.loss = std::make_shared<CompositeLoss>(std::move(models));
-  } else if (spec_.ge_loss) {
-    cfg.loss = std::make_shared<GilbertElliottLoss>(
-        spec_.ge_loss->p_good_to_bad, spec_.ge_loss->p_bad_to_good,
-        spec_.ge_loss->loss_good, spec_.ge_loss->loss_bad);
-  } else if (spec_.loss_rate > 0.0) {
-    cfg.loss = std::make_shared<BernoulliLoss>(spec_.loss_rate);
-  }
-  if (t.has_value())
-    return std::make_unique<TraceLink>(loop, *t, std::move(cfg), rng);
-  return std::make_unique<FixedRateLink>(loop, spec_.fixed_rate_mbps * 1e6,
-                                         std::move(cfg), rng);
 }
 
 }  // namespace xlink::net

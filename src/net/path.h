@@ -20,20 +20,14 @@ struct PathSpec {
   Wireless tech = Wireless::kWifi;
   /// Downlink trace (server -> client); empty means use fixed_rate_mbps.
   std::optional<trace::LinkTrace> down_trace;
-  /// Uplink trace (client -> server); empty means use fixed_rate_mbps.
-  std::optional<trace::LinkTrace> up_trace;
+  /// Uplink rate (client -> server), and the downlink rate when there is
+  /// no down_trace.
   double fixed_rate_mbps = 20.0;
   sim::Duration one_way_delay = sim::millis(15);
   double loss_rate = 0.0;                       // residual Bernoulli loss
   /// Optional Gilbert-Elliott bursty loss (applied on both directions,
-  /// composed with loss_rate when both are set). Burst loss is the regime
-  /// where FEC windows see correlated erasures (FEC ablation benches).
-  struct GeLoss {
-    double p_good_to_bad = 0.0;
-    double p_bad_to_good = 0.3;
-    double loss_good = 0.0;
-    double loss_bad = 0.5;
-  };
+  /// composed with loss_rate when both are set).
+  using GeLoss = net::GeLoss;
   std::optional<GeLoss> ge_loss;
   std::size_t queue_capacity_bytes = 1024 * 1024;
   /// Scripted fault windows applied to this path (empty = no injector).
@@ -49,22 +43,21 @@ class EmulatedPath {
   /// Client -> server direction.
   void send_up(Datagram d) {
     if (faults_ && !faults_->admit(FaultInjector::Direction::kUp, d)) return;
-    up_->send(std::move(d));
+    up_.send(std::move(d));
   }
   void set_up_receiver(Link::DeliverFn fn);
 
   /// Server -> client direction.
   void send_down(Datagram d) {
     if (faults_ && !faults_->admit(FaultInjector::Direction::kDown, d)) return;
-    down_->send(std::move(d));
+    down_.send(std::move(d));
   }
   void set_down_receiver(Link::DeliverFn fn);
 
   Wireless tech() const { return spec_.tech; }
   const PathSpec& spec() const { return spec_; }
-  const LinkStats& up_stats() const { return up_->stats(); }
-  const LinkStats& down_stats() const { return down_->stats(); }
-  std::size_t down_queued_bytes() const { return down_->queued_bytes(); }
+  const LinkStats& up_stats() const { return up_.stats(); }
+  const LinkStats& down_stats() const { return down_.stats(); }
 
   /// The path's fault injector; nullptr when the spec had no fault plan.
   FaultInjector* faults() { return faults_.get(); }
@@ -74,15 +67,13 @@ class EmulatedPath {
   sim::Duration base_rtt() const { return 2 * spec_.one_way_delay; }
 
  private:
-  std::unique_ptr<Link> make_link(sim::EventLoop& loop,
-                                  const std::optional<trace::LinkTrace>& t,
-                                  sim::Rng rng) const;
   void deliver_faulted(FaultInjector::Direction dir, Datagram d);
 
   sim::EventLoop& loop_;
   PathSpec spec_;
-  std::unique_ptr<Link> up_;
-  std::unique_ptr<Link> down_;
+  // Declared in RNG fork order: up, down, then the fault injector.
+  Link up_;
+  Link down_;
   std::unique_ptr<FaultInjector> faults_;
   // Final receivers, stored once so the per-packet fault hop captures only
   // [this, dir, datagram] (stays within the event loop's inline storage)

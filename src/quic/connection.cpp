@@ -611,8 +611,7 @@ bool Connection::send_one_packet(PathId path_id, bool ignore_cwnd) {
   // repair symbol (sealed wire + length prefix + REPAIR header) still fits
   // one packet payload.
   const std::size_t max_payload =
-      fec_framer_ ? std::min<std::size_t>(kMaxPacketPayload,
-                                          config_.fec.payload_cap)
+      fec_framer_ ? std::min<std::size_t>(kMaxPacketPayload, fec::kPayloadCap)
                   : kMaxPacketPayload;
   const std::size_t budget =
       ignore_cwnd ? max_payload
@@ -746,14 +745,14 @@ bool Connection::build_and_send(PathId path_id, std::vector<Frame>& frames,
   net::PacketBuffer wire = seal_packet_buffer(aead_, header, frames);
 
   // RFC 9000 §8.1 anti-amplification: until the peer's address on this
-  // path is validated, a server may send at most `amplification_factor`
+  // path is validated, a server may send at most kAmplificationFactor
   // times the bytes it received there -- otherwise a spoofed-source probe
   // turns this endpoint into a traffic amplifier. The packet number is not
   // consumed for a suppressed send.
   if (config_.role == Role::kServer &&
       path.state == PathState::State::kValidating &&
       path.bytes_sent + wire.size() >
-          config_.budgets.amplification_factor * path.bytes_received) {
+          kAmplificationFactor * path.bytes_received) {
     ++guard_.amplification_blocked;
     // Suppression must be lossless: nothing here has a SentRecord yet, so
     // anything silently dropped would never be retransmitted. Stream pieces
@@ -1290,7 +1289,7 @@ void Connection::handle_repair_frame(PathId path_id, const RepairFrame& f) {
   ++guard_.repair_frames;
   // A REPAIR bomb: an honest symbol is bounded by the sealed MTU plus its
   // 2-byte length prefix, and each symbol travels in its own packet.
-  if (f.payload.size() > config_.budgets.max_repair_symbol_bytes) {
+  if (f.payload.size() > fec::kMaxSymbolBytes) {
     close_with_error(TransportError::kProtocolViolation,
                      ViolationKind::kRepairOversized, f.payload.size(),
                      path_id);

@@ -92,15 +92,11 @@ struct ResourceBudgets {
   /// REPAIR-frame rate limit, same shape against our receive count.
   std::uint64_t repair_flood_base = 512;
   std::uint64_t repair_flood_per_packet_received = 2;
-
-  /// Largest acceptable REPAIR symbol; anything a real window produces is
-  /// bounded by the sealed MTU plus the 2-byte length prefix.
-  std::size_t max_repair_symbol_bytes = 2048;
-
-  /// Anti-amplification: on unvalidated server paths, wire bytes sent may
-  /// not exceed this multiple of wire bytes received (RFC 9000 §8.1).
-  std::uint64_t amplification_factor = 3;
 };
+
+/// Anti-amplification: on unvalidated server paths, wire bytes sent may
+/// not exceed this multiple of wire bytes received (RFC 9000 §8.1).
+inline constexpr std::uint64_t kAmplificationFactor = 3;
 
 /// Violation and budget-pressure accounting, exposed via
 /// Connection::guard_counters() and summarized in the analyzer's security

@@ -87,12 +87,17 @@ void ThreadPool::parallel_for_each(
   if (first_error) std::rethrow_exception(first_error);
 }
 
+std::optional<unsigned> ThreadPool::parse_jobs(const char* text) {
+  char* end = nullptr;
+  const unsigned long v = std::strtoul(text, &end, 10);
+  if (end != text && *end == '\0' && v >= 1 && v <= 4096)
+    return static_cast<unsigned>(v);
+  return std::nullopt;
+}
+
 unsigned ThreadPool::default_jobs() {
   if (const char* env = std::getenv("XLINK_JOBS")) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 1 && v <= 4096)
-      return static_cast<unsigned>(v);
+    if (const auto jobs = parse_jobs(env)) return *jobs;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw ? hw : 1;

@@ -6,7 +6,7 @@
 // itself knows nothing about sessions — it runs plain closures.
 //
 // Thread count selection (default_jobs): the XLINK_JOBS environment
-// variable when set to a positive integer, otherwise
+// variable when set to a whole number from 1 to 4096, otherwise
 // std::thread::hardware_concurrency(). jobs == 1 is the serial fallback:
 // parallel_for_each then runs inline on the calling thread with no worker
 // threads involved.
@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <queue>
 #include <thread>
 #include <vector>
@@ -47,9 +48,13 @@ class ThreadPool {
   void parallel_for_each(std::size_t count,
                          const std::function<void(std::size_t)>& body);
 
-  /// XLINK_JOBS env var (positive integer) if set, otherwise
+  /// XLINK_JOBS env var if parse_jobs accepts it, otherwise
   /// hardware_concurrency(); always >= 1.
   static unsigned default_jobs();
+
+  /// A worker count as XLINK_JOBS spells it: a whole number from 1 to
+  /// 4096. Anything else is nullopt.
+  static std::optional<unsigned> parse_jobs(const char* text);
 
  private:
   void worker_main();

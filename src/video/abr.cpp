@@ -6,6 +6,25 @@
 
 namespace xlink::video {
 
+namespace {
+
+// rate-based
+constexpr double kEwmaAlpha = 0.5;   // weight of the newest chunk sample
+constexpr double kRateSafety = 0.9;  // fraction of the estimate to spend
+
+// buffer-based (linear map between the two thresholds)
+constexpr sim::Duration kBufferLow = sim::seconds(2);
+constexpr sim::Duration kBufferHigh = sim::seconds(8);
+
+// hybrid (the thresholds gate only while the horizon is SHRINKING; a
+// growing horizon follows the safety-scaled estimate directly)
+constexpr double kHybridSafety = 0.85;
+constexpr sim::Duration kHybridLow = sim::seconds(3);   // shed below
+constexpr sim::Duration kHybridHigh = sim::seconds(6);  // hold below
+constexpr std::size_t kMaxUpStep = 1;  // climb cap per chunk while draining
+
+}  // namespace
+
 const char* to_string(AbrAlgorithm a) {
   switch (a) {
     case AbrAlgorithm::kFixed: return "fixed";
@@ -24,8 +43,8 @@ std::optional<AbrAlgorithm> abr_algorithm_from_string(const std::string& s) {
   return std::nullopt;
 }
 
-AbrController::AbrController(const AbrConfig& config, BitrateLadder ladder)
-    : config_(config), ladder_(std::move(ladder)) {
+AbrController::AbrController(BitrateLadder ladder)
+    : ladder_(std::move(ladder)) {
   if (ladder_.bitrates_bps.empty())
     ladder_.bitrates_bps.push_back(0);  // degenerate single-rung ladder
 }
@@ -51,8 +70,7 @@ void AbrController::on_chunk_downloaded(std::uint64_t bytes,
   const double bps =
       static_cast<double>(bytes) * 8.0 / sim::to_seconds(elapsed);
   ewma_bps_ = has_sample_
-                  ? (1.0 - config_.ewma_alpha) * ewma_bps_ +
-                        config_.ewma_alpha * bps
+                  ? (1.0 - kEwmaAlpha) * ewma_bps_ + kEwmaAlpha * bps
                   : bps;
   has_sample_ = true;
 }
@@ -68,7 +86,7 @@ class RateBasedController final : public AbrController {
   AbrDecision decide(const AbrInputs&) override {
     if (!has_rate_sample()) return {0, 0};  // start at the bottom
     const double est = ewma_bps();
-    return {ladder_.rung_for_rate(config_.rate_safety * est),
+    return {ladder_.rung_for_rate(kRateSafety * est),
             static_cast<std::uint64_t>(est)};
   }
 };
@@ -82,13 +100,13 @@ class BufferBasedController final : public AbrController {
   AbrDecision decide(const AbrInputs& in) override {
     const std::size_t top = ladder_.top_rung();
     if (top == 0) return {0, 0};
-    if (in.buffer_level <= config_.buffer_low) return {0, 0};
-    if (in.buffer_level >= config_.buffer_high) return {top, 0};
+    if (in.buffer_level <= kBufferLow) return {0, 0};
+    if (in.buffer_level >= kBufferHigh) return {top, 0};
     // Linear map of (low, high) onto rungs 1..top, integer arithmetic so
     // the boundary rungs are exact.
-    const sim::Duration span = config_.buffer_high - config_.buffer_low;
+    const sim::Duration span = kBufferHigh - kBufferLow;
     const std::size_t step = static_cast<std::size_t>(
-        (in.buffer_level - config_.buffer_low) *
+        (in.buffer_level - kBufferLow) *
         static_cast<sim::Duration>(top - 1) / span);
     return {1 + std::min(step, top - 1), 0};
   }
@@ -108,7 +126,7 @@ class HybridController final : public AbrController {
     if (static_cast<double>(in.btlbw_bps) > est)
       est = static_cast<double>(in.btlbw_bps);
     const std::size_t cand =
-        est > 0.0 ? ladder_.rung_for_rate(config_.hybrid_safety * est) : 0;
+        est > 0.0 ? ladder_.rung_for_rate(kHybridSafety * est) : 0;
 
     // Risk horizon: the same conservative play-time-left the XLINK
     // scheduler derives from QoE feedback; the local buffer level is the
@@ -127,12 +145,12 @@ class HybridController final : public AbrController {
       rung = cand;  // establishing decision: trust the estimate as-is
     } else if (growing) {
       rung = cand;
-    } else if (horizon < config_.hybrid_low) {
+    } else if (horizon < kHybridLow) {
       // Draining and thin: shed a rung even if the estimate says otherwise.
       rung = std::min(cand, last_rung_ > 0 ? last_rung_ - 1 : 0);
-    } else if (horizon >= config_.hybrid_high) {
+    } else if (horizon >= kHybridHigh) {
       // Draining but comfortable: climb, damped to max_up_step per chunk.
-      rung = std::min(cand, last_rung_ + config_.max_up_step);
+      rung = std::min(cand, last_rung_ + kMaxUpStep);
     } else {
       rung = std::min(cand, last_rung_);  // draining mid-band: hold
     }
@@ -146,19 +164,18 @@ class HybridController final : public AbrController {
 
 }  // namespace
 
-std::unique_ptr<AbrController> make_abr_controller(const AbrConfig& config,
+std::unique_ptr<AbrController> make_abr_controller(AbrAlgorithm algorithm,
                                                    BitrateLadder ladder) {
-  switch (config.algorithm) {
+  switch (algorithm) {
     case AbrAlgorithm::kBufferBased:
-      return std::make_unique<BufferBasedController>(config,
-                                                     std::move(ladder));
+      return std::make_unique<BufferBasedController>(std::move(ladder));
     case AbrAlgorithm::kHybrid:
-      return std::make_unique<HybridController>(config, std::move(ladder));
+      return std::make_unique<HybridController>(std::move(ladder));
     case AbrAlgorithm::kFixed:
     case AbrAlgorithm::kRateBased:
       break;
   }
-  return std::make_unique<RateBasedController>(config, std::move(ladder));
+  return std::make_unique<RateBasedController>(std::move(ladder));
 }
 
 }  // namespace xlink::video

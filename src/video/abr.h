@@ -15,7 +15,7 @@
 //     climbs, or sheds a rung depending on how much play time is left.
 //
 // Determinism contract (DESIGN.md §12): controllers are pure functions of
-// their config and the sequence of AbrInputs/samples they are fed.
+// their ladder and the sequence of AbrInputs/samples they are fed.
 // AbrInputs carries durations and counts only -- never absolute sim::Time
 // -- so a controller shifted in time makes identical decisions, and
 // "no sample yet" is an explicit flag, never a 0-valued sentinel (the PR 8
@@ -43,30 +43,9 @@ enum class AbrAlgorithm : std::uint8_t {
 const char* to_string(AbrAlgorithm a);
 std::optional<AbrAlgorithm> abr_algorithm_from_string(const std::string& s);
 
-struct AbrConfig {
-  AbrAlgorithm algorithm = AbrAlgorithm::kFixed;
-  /// Empty = BitrateLadder::scaled(native bitrate), resolved where the
-  /// session's video spec is known.
-  BitrateLadder ladder;
-  /// Frames per chunk request: the adaptation granularity (30 = one second
-  /// of video at 30 fps).
-  std::uint32_t chunk_frames = 30;
-
-  // rate-based
-  double ewma_alpha = 0.5;   // weight of the newest chunk sample
-  double rate_safety = 0.9;  // fraction of the estimate we dare to spend
-
-  // buffer-based (linear map between the two thresholds)
-  sim::Duration buffer_low = sim::seconds(2);
-  sim::Duration buffer_high = sim::seconds(8);
-
-  // hybrid (the thresholds gate only while the horizon is SHRINKING; a
-  // growing horizon follows the safety-scaled estimate directly)
-  double hybrid_safety = 0.85;
-  sim::Duration hybrid_low = sim::seconds(3);   // shed when draining below
-  sim::Duration hybrid_high = sim::seconds(6);  // hold when draining below
-  std::size_t max_up_step = 1;  // climb cap per chunk while draining
-};
+/// Frames per chunk request: the adaptation granularity (30 = one second
+/// of video at 30 fps).
+inline constexpr std::uint32_t kAbrChunkFrames = 30;
 
 /// Everything a controller may look at for one decision. Durations and
 /// counts only; no absolute timestamps (see the determinism contract).
@@ -89,7 +68,7 @@ struct AbrDecision {
 
 class AbrController {
  public:
-  AbrController(const AbrConfig& config, BitrateLadder ladder);
+  explicit AbrController(BitrateLadder ladder);
   virtual ~AbrController() = default;
 
   virtual const char* name() const = 0;
@@ -121,7 +100,6 @@ class AbrController {
   bool has_rate_sample() const { return has_sample_; }
   double ewma_bps() const { return ewma_bps_; }
 
-  AbrConfig config_;
   BitrateLadder ladder_;
   std::uint64_t decisions_ = 0;
   std::size_t last_rung_ = 0;  // meaningful only when decisions_ > 0
@@ -133,9 +111,9 @@ class AbrController {
   std::uint64_t switch_magnitude_ = 0;
 };
 
-/// Builds the controller for `config.algorithm` (never kFixed -- the fixed
-/// path does not construct a controller).
-std::unique_ptr<AbrController> make_abr_controller(const AbrConfig& config,
+/// Builds the controller for `algorithm` (never kFixed -- the fixed path
+/// does not construct a controller).
+std::unique_ptr<AbrController> make_abr_controller(AbrAlgorithm algorithm,
                                                    BitrateLadder ladder);
 
 }  // namespace xlink::video

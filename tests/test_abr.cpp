@@ -1,12 +1,14 @@
 // ABR controller conformance suite (DESIGN.md §12).
 //
-// The three controllers are pure functions of their config and the fed
+// The three controllers are pure functions of their ladder and the fed
 // input/sample sequence, so a scripted trace has an exact golden decision
-// sequence. The goldens below are hand-derived from the default AbrConfig
-// and the scaled 4-rung ladder; a change in any controller's policy must
-// show up here as an explicit golden update.
+// sequence. The goldens below are hand-derived from the controllers'
+// tuning constants (video/abr.cpp) and the scaled 4-rung ladder; a change
+// in any controller's policy must show up here as an explicit golden
+// update.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "harness/scenario.h"
@@ -39,11 +41,8 @@ const std::vector<Step>& script() {
   return s;
 }
 
-AbrConfig config_for(AbrAlgorithm algo) {
-  AbrConfig cfg;
-  cfg.algorithm = algo;
-  cfg.ladder = BitrateLadder::scaled(4'000'000);
-  return cfg;
+std::unique_ptr<AbrController> controller_for(AbrAlgorithm algo) {
+  return make_abr_controller(algo, BitrateLadder::scaled(4'000'000));
 }
 
 // Runs the script, optionally with every chunk_index shifted by `shift`.
@@ -64,8 +63,7 @@ std::vector<std::size_t> run_script(AbrController& abr,
 }
 
 TEST(AbrConformance, RateBasedGoldenSequence) {
-  const auto cfg = config_for(AbrAlgorithm::kRateBased);
-  auto abr = make_abr_controller(cfg, cfg.ladder);
+  auto abr = controller_for(AbrAlgorithm::kRateBased);
   // EWMA (alpha .5): 3.2M, 3.2M, 4.0M, 4.4M, 4.6M, 2.7M, 1.75M; rung =
   // highest bitrate <= 0.9 * ewma.
   EXPECT_EQ(run_script(*abr),
@@ -76,8 +74,7 @@ TEST(AbrConformance, RateBasedGoldenSequence) {
 }
 
 TEST(AbrConformance, BufferBasedGoldenSequence) {
-  const auto cfg = config_for(AbrAlgorithm::kBufferBased);
-  auto abr = make_abr_controller(cfg, cfg.ladder);
+  auto abr = controller_for(AbrAlgorithm::kBufferBased);
   // <= 2s -> rung 0, >= 8s -> top, linear rungs 1..top between.
   EXPECT_EQ(run_script(*abr),
             (std::vector<std::size_t>{0, 0, 1, 1, 2, 3, 0, 0}));
@@ -86,8 +83,7 @@ TEST(AbrConformance, BufferBasedGoldenSequence) {
 }
 
 TEST(AbrConformance, HybridGoldenSequence) {
-  const auto cfg = config_for(AbrAlgorithm::kHybrid);
-  auto abr = make_abr_controller(cfg, cfg.ladder);
+  auto abr = controller_for(AbrAlgorithm::kHybrid);
   // est = max(ewma, btlbw); follows the 0.85-scaled estimate while the
   // buffer grows (steps 0-5), sheds a rung per chunk once it drains thin
   // (steps 6-7, horizon < 3s and shrinking).
@@ -104,9 +100,8 @@ TEST(AbrConformance, HybridGoldenSequence) {
 TEST(AbrConformance, ChunkIndexShiftInvariance) {
   for (const auto algo : {AbrAlgorithm::kRateBased, AbrAlgorithm::kBufferBased,
                           AbrAlgorithm::kHybrid}) {
-    const auto cfg = config_for(algo);
-    auto base = make_abr_controller(cfg, cfg.ladder);
-    auto shifted = make_abr_controller(cfg, cfg.ladder);
+    auto base = controller_for(algo);
+    auto shifted = controller_for(algo);
     EXPECT_EQ(run_script(*base), run_script(*shifted, 100'000))
         << to_string(algo);
     EXPECT_EQ(base->switches(), shifted->switches()) << to_string(algo);
@@ -117,8 +112,7 @@ TEST(AbrConformance, ChunkIndexShiftInvariance) {
 // genuine near-zero-rate sample must be treated as information, and
 // zero-byte / zero-duration samples must not fabricate one.
 TEST(AbrConformance, ZeroRateSampleIsNotASentinel) {
-  const auto cfg = config_for(AbrAlgorithm::kRateBased);
-  auto abr = make_abr_controller(cfg, cfg.ladder);
+  auto abr = controller_for(AbrAlgorithm::kRateBased);
   abr->on_chunk_downloaded(0, sim::seconds(1));   // ignored: no information
   abr->on_chunk_downloaded(1024, 0);              // ignored: no information
   AbrInputs in;
@@ -130,17 +124,16 @@ TEST(AbrConformance, ZeroRateSampleIsNotASentinel) {
 }
 
 TEST(AbrConformance, FirstDecisionEstablishesRungWithoutASwitch) {
-  auto cfg = config_for(AbrAlgorithm::kBufferBased);
-  auto abr = make_abr_controller(cfg, cfg.ladder);
+  auto abr = controller_for(AbrAlgorithm::kBufferBased);
   AbrInputs in;
   in.buffer_level = sim::seconds(10);  // first decision lands on the top
-  EXPECT_EQ(abr->choose(in).rung, cfg.ladder.top_rung());
+  EXPECT_EQ(abr->choose(in).rung, abr->ladder().top_rung());
   EXPECT_EQ(abr->switches(), 0u);
   EXPECT_EQ(abr->switch_magnitude(), 0u);
   in.buffer_level = 0;  // now a real switch, top -> 0
   abr->choose(in);
   EXPECT_EQ(abr->switches(), 1u);
-  EXPECT_EQ(abr->switch_magnitude(), cfg.ladder.top_rung());
+  EXPECT_EQ(abr->switch_magnitude(), abr->ladder().top_rung());
 }
 
 // ------------------------------------------------------------------- e2e
@@ -153,8 +146,7 @@ harness::SessionConfig abr_session_config(AbrAlgorithm algo,
   cfg.video.duration = sim::seconds(6);
   cfg.video.bitrate_bps = 2'400'000;
   cfg.video.seed = seed;
-  cfg.client.abr.algorithm = algo;
-  cfg.client.abr.chunk_frames = 30;
+  cfg.client.abr = algo;
   cfg.time_limit = sim::seconds(60);
   cfg.paths.push_back(harness::make_path_spec(
       net::Wireless::kWifi, trace::stable_lte(seed, sim::seconds(30)),

@@ -78,12 +78,12 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 namespace xlink {
 namespace {
 
-/// Steady-state seal -> FixedRateLink -> parse/open/parse_frames round trip
+/// Steady-state seal -> fixed-rate Link -> parse/open/parse_frames round trip
 /// must be completely allocation-free once every pool is warm.
 TEST(AllocGuard, WarmPacketRoundTripIsAllocationFree) {
   sim::EventLoop loop;
   net::LinkConfig cfg;
-  net::FixedRateLink link(loop, 1e9, cfg, sim::Rng(1));
+  net::Link link(loop, 1e9, cfg, sim::Rng(1));
 
   quic::PacketProtection aead(0x5eed);
   std::vector<std::uint8_t> payload_src(1200, 0xab);
@@ -144,7 +144,7 @@ TEST(AllocGuard, WarmPacketRoundTripIsAllocationFree) {
 TEST(AllocGuard, WarmBurstTrafficIsAllocationFree) {
   sim::EventLoop loop;
   net::LinkConfig cfg;
-  net::FixedRateLink link(loop, 5e7, cfg, sim::Rng(2));
+  net::Link link(loop, 5e7, cfg, sim::Rng(2));
 
   quic::PacketProtection aead(0x1234);
   std::vector<std::uint8_t> payload_src(600, 0x5a);

@@ -1,7 +1,7 @@
 // Forward erasure correction subsystem tests.
 //
 // Four layers, bottom up: GF(2^8) field properties (exhaustive over the
-// 255 non-zero elements), Reed-Solomon / XOR round trips under EVERY
+// 255 non-zero elements), Reed-Solomon round trips under EVERY
 // erasure pattern inside the repair budget (the MDS claim, checked by
 // enumeration rather than trusted), a deterministic erasure-fuzz sweep in
 // the spirit of test_parser_fuzz.cpp, and the framer <-> recovery-buffer
@@ -149,7 +149,7 @@ TEST(Gf256, AddmulAndScaleMatchScalarReference) {
 }
 
 // ---------------------------------------------------------------------------
-// Scheme-level round trips.
+// Code-level round trips.
 
 std::vector<std::vector<std::uint8_t>> make_sources(std::size_t k,
                                                     std::size_t len,
@@ -165,8 +165,7 @@ std::vector<std::vector<std::uint8_t>> make_sources(std::size_t k,
 /// Encodes k sources with r repairs, erases `erased` source indices,
 /// decodes using only the repair rows in `use_repairs`, and returns
 /// whether recover() succeeded with every symbol byte-identical.
-bool round_trips(const fec::FecScheme& scheme,
-                 const std::vector<std::vector<std::uint8_t>>& sources,
+bool round_trips(const std::vector<std::vector<std::uint8_t>>& sources,
                  std::size_t r, const std::vector<std::size_t>& erased,
                  const std::vector<std::uint32_t>& use_repairs) {
   const std::size_t k = sources.size();
@@ -178,7 +177,7 @@ bool round_trips(const fec::FecScheme& scheme,
                                                  std::vector<std::uint8_t>(len));
   std::vector<std::span<std::uint8_t>> rep_spans(r);
   for (std::size_t j = 0; j < r; ++j) rep_spans[j] = repairs[j];
-  scheme.encode(src_spans, rep_spans);
+  fec::ReedSolomon::encode(src_spans, rep_spans);
 
   std::vector<std::vector<std::uint8_t>> working = sources;
   std::vector<fec::SourceSymbol> slots(k);
@@ -196,14 +195,13 @@ bool round_trips(const fec::FecScheme& scheme,
     rep_copies.push_back(repairs[j]);  // recover() clobbers repair payloads
     rep_slots.push_back({rep_copies.back(), j});
   }
-  if (!scheme.recover(slots, rep_slots)) return false;
+  if (!fec::ReedSolomon::recover(slots, rep_slots)) return false;
   for (std::size_t i = 0; i < k; ++i)
     if (working[i] != sources[i]) return false;
   return true;
 }
 
 TEST(ReedSolomon, RecoversEveryErasurePatternWithinTheRepairBudget) {
-  const fec::ReedSolomon rs;
   ByteStream bs(7);
   const std::size_t k = 8;
   const auto sources = make_sources(k, 48, bs);
@@ -218,7 +216,7 @@ TEST(ReedSolomon, RecoversEveryErasurePatternWithinTheRepairBudget) {
       std::vector<std::uint32_t> all_repairs(r);
       for (std::size_t j = 0; j < r; ++j)
         all_repairs[j] = static_cast<std::uint32_t>(j);
-      ASSERT_TRUE(round_trips(rs, sources, r, erased, all_repairs))
+      ASSERT_TRUE(round_trips(sources, r, erased, all_repairs))
           << "r=" << r << " mask=" << mask;
     }
   }
@@ -227,7 +225,6 @@ TEST(ReedSolomon, RecoversEveryErasurePatternWithinTheRepairBudget) {
 TEST(ReedSolomon, AnyRepairSubsetOfErasureSizeDecodes) {
   // The MDS property in full: e erasures are recoverable from ANY e of the
   // r repair symbols, not just the first e (repairs get lost too).
-  const fec::ReedSolomon rs;
   ByteStream bs(11);
   const std::size_t k = 6, r = 4;
   const auto sources = make_sources(k, 32, bs);
@@ -243,18 +240,17 @@ TEST(ReedSolomon, AnyRepairSubsetOfErasureSizeDecodes) {
       std::vector<std::uint32_t> use;
       for (std::uint32_t j = 0; j < r; ++j)
         if (rep_mask & (1u << j)) use.push_back(j);
-      ASSERT_TRUE(round_trips(rs, sources, r, erased, use))
+      ASSERT_TRUE(round_trips(sources, r, erased, use))
           << "src_mask=" << src_mask << " rep_mask=" << rep_mask;
     }
   }
 }
 
 TEST(ReedSolomon, FailsCleanlyPastTheBudget) {
-  const fec::ReedSolomon rs;
   ByteStream bs(13);
   const auto sources = make_sources(8, 40, bs);
   // 3 erasures, 2 repair symbols: must return false, not garbage.
-  EXPECT_FALSE(round_trips(rs, sources, 2, {1, 4, 6}, {0, 1}));
+  EXPECT_FALSE(round_trips(sources, 2, {1, 4, 6}, {0, 1}));
 }
 
 TEST(ReedSolomon, CoefficientMatrixHasNoZerosAndDistinctRows) {
@@ -276,21 +272,9 @@ TEST(ReedSolomon, CoefficientMatrixHasNoZerosAndDistinctRows) {
     }
 }
 
-TEST(XorParity, RecoversOneErasureAndRejectsTwo) {
-  const fec::XorParity xp;
-  ByteStream bs(17);
-  const std::size_t k = 8;
-  const auto sources = make_sources(k, 64, bs);
-  EXPECT_EQ(xp.max_repairs(k), 1u);
-  for (std::size_t e = 0; e < k; ++e)
-    ASSERT_TRUE(round_trips(xp, sources, 1, {e}, {0})) << "erased " << e;
-  EXPECT_FALSE(round_trips(xp, sources, 1, {2, 5}, {0}));
-}
-
 TEST(FecFuzz, DeterministicErasureSweep) {
   // Random window shapes, symbol lengths, contents and erasure patterns;
   // fixed seed so a failure reproduces exactly.
-  const fec::ReedSolomon rs;
   ByteStream bs(0xFEC);
   for (int round = 0; round < 300; ++round) {
     const std::size_t k = bs.in_range(2, 16);
@@ -309,7 +293,7 @@ TEST(FecFuzz, DeterministicErasureSweep) {
       const auto j = static_cast<std::uint32_t>(bs.in_range(0, r - 1));
       if (std::find(use.begin(), use.end(), j) == use.end()) use.push_back(j);
     }
-    ASSERT_TRUE(round_trips(rs, sources, r, erased, use))
+    ASSERT_TRUE(round_trips(sources, r, erased, use))
         << "round=" << round << " k=" << k << " r=" << r << " len=" << len;
   }
 }
@@ -401,7 +385,6 @@ TEST(FecFramer, CoverTracksEmittedWindowsAndExpires) {
   cfg.enabled = true;
   cfg.window = 4;
   cfg.min_repairs = 1;
-  cfg.cover_linger = sim::millis(300);
   fec::FecFramer framer(cfg);
   std::vector<quic::Frame> out;
   for (quic::PacketNumber pn = 0; pn < 4; ++pn)

@@ -131,18 +131,14 @@ TEST(GridManifest, RoundTripsEveryCellField) {
   spec.cells[0].options_b.aead_key = ~0ULL;  // all 64 bits must survive
   spec.cells[0].options_b.xlink_redundancy =
       core::XlinkRedundancy::kReinjectPlusFec;
-  spec.cells[0].options_b.fec.scheme = fec::FecConfig::SchemeKind::kXor;
   spec.cells[0].options_b.fec.window = 12;
   spec.cells[0].options_b.fec.min_repairs = 2;
   spec.cells[0].options_b.fec.max_repairs = 5;
   spec.cells[0].options_b.fec.loss_multiplier = 1.0 / 3.0;  // bit-exact codec
-  spec.cells[0].options_b.fec.payload_cap = 1100;
-  spec.cells[0].options_b.fec.cover_linger = sim::millis(123);
   spec.cells[0].options_b.pacing = true;
   spec.cells[1].options_a.cc = quic::CcAlgorithm::kBbr;
   spec.cells[1].pop.p_5g = 1.0 / 3.0;        // non-terminating binary fraction
   spec.cells[1].pop.abr = video::AbrAlgorithm::kHybrid;
-  spec.cells[1].pop.abr_chunk_frames = 45;
   spec.cells[1].day_seed = (1ULL << 62) + 3; // above 2^53: needs string codec
 
   std::ostringstream os;
@@ -169,18 +165,14 @@ TEST(GridManifest, RoundTripsEveryCellField) {
     EXPECT_EQ(a.options_b.xlink_insert_mode, b.options_b.xlink_insert_mode);
     EXPECT_EQ(a.options_b.aead_key, b.options_b.aead_key);
     EXPECT_EQ(a.options_b.xlink_redundancy, b.options_b.xlink_redundancy);
-    EXPECT_EQ(a.options_b.fec.scheme, b.options_b.fec.scheme);
     EXPECT_EQ(a.options_b.fec.window, b.options_b.fec.window);
     EXPECT_EQ(a.options_b.fec.min_repairs, b.options_b.fec.min_repairs);
     EXPECT_EQ(a.options_b.fec.max_repairs, b.options_b.fec.max_repairs);
     EXPECT_EQ(a.options_b.fec.loss_multiplier, b.options_b.fec.loss_multiplier);
-    EXPECT_EQ(a.options_b.fec.payload_cap, b.options_b.fec.payload_cap);
-    EXPECT_EQ(a.options_b.fec.cover_linger, b.options_b.fec.cover_linger);
     EXPECT_EQ(a.pop.sessions_per_day, b.pop.sessions_per_day);
     EXPECT_EQ(a.pop.p_5g, b.pop.p_5g);  // bit-exact, not approximately
     EXPECT_EQ(a.pop.time_limit, b.pop.time_limit);
     EXPECT_EQ(a.pop.abr, b.pop.abr);
-    EXPECT_EQ(a.pop.abr_chunk_frames, b.pop.abr_chunk_frames);
     EXPECT_EQ(a.day_seed, b.day_seed);
     EXPECT_EQ(a.raw_session_seeds, b.raw_session_seeds);
     EXPECT_EQ(a.sample_playtime, b.sample_playtime);

@@ -312,8 +312,7 @@ TEST(HostilePeer, AmplificationProbeIsSuppressed) {
   EXPECT_EQ(p.state, quic::PathState::State::kValidating);  // never promoted
   EXPECT_GE(server.guard_counters().amplification_blocked, 1u);
   EXPECT_LE(p.bytes_sent,
-            rig.pair->options_.server_config.budgets.amplification_factor *
-                p.bytes_received);
+            quic::kAmplificationFactor * p.bytes_received);
   EXPECT_FALSE(server.is_closed());  // suppression, not escalation
   rig.expect_no_leaks();
 }
@@ -417,7 +416,7 @@ TEST(HostilePeer, FecOversizeSymbolRejected) {
   bomb.path_id = 0;
   bomb.k = 1;
   bomb.repair_count = 1;
-  bomb.payload.assign(cfg.max_symbol_bytes + 1, 0xee);
+  bomb.payload.assign(fec::kMaxSymbolBytes + 1, 0xee);
   std::vector<fec::RecoveryBuffer::Recovered> out;
   const auto res = recv.on_repair(0, bomb, sim::millis(1), out);
   EXPECT_EQ(res.recovered, 0u);

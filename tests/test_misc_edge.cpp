@@ -119,23 +119,5 @@ TEST(HarnessEdge, PlainDownloadWithoutPlayer) {
   EXPECT_GT(result.download_seconds, 0.0);
 }
 
-TEST(HarnessEdge, StandaloneQoeFeedbackSessionWorks) {
-  harness::SessionConfig cfg;
-  cfg.scheme = core::Scheme::kXlink;
-  cfg.standalone_qoe_feedback = true;
-  cfg.seed = 5;
-  cfg.video.duration = sim::seconds(3);
-  cfg.paths.push_back(harness::make_path_spec(
-      net::Wireless::kWifi, trace::stable_lte(11, sim::seconds(10)),
-      sim::millis(40)));
-  cfg.paths.push_back(harness::make_path_spec(
-      net::Wireless::kLte, trace::stable_lte(12, sim::seconds(10)),
-      sim::millis(90)));
-  harness::Session session(std::move(cfg));
-  const auto result = session.run();
-  EXPECT_TRUE(result.download_finished);
-  EXPECT_TRUE(result.video_finished);
-}
-
 }  // namespace
 }  // namespace xlink

@@ -152,18 +152,6 @@ TEST(MinRttScheduler, SkipsCwndExhaustedPath) {
   EXPECT_EQ(*pick, 1u);
 }
 
-TEST(RoundRobinScheduler, Alternates) {
-  auto sched = mpquic::make_round_robin_scheduler();
-  TwoPathFixture fx(sched);
-  std::set<quic::PathId> seen;
-  for (int i = 0; i < 4; ++i) {
-    const auto pick = sched->select_path(*fx.pair.server);
-    ASSERT_TRUE(pick.has_value());
-    seen.insert(*pick);
-  }
-  EXPECT_EQ(seen.size(), 2u);
-}
-
 TEST(ReinjectionEngine, DuplicatesUnackedFromSlowPathWhenQueueDrains) {
   auto sched = core::make_xlink_scheduler(
       {DoubleThresholdConfig{0, 0, ControlMode::kAlwaysOn},
@@ -255,7 +243,6 @@ TEST(MaxDeliverTime, UsesOnlyPathsWithUnackedData) {
 
 TEST(SchedulerNames, AreStable) {
   EXPECT_EQ(mpquic::make_min_rtt_scheduler()->name(), "min-rtt");
-  EXPECT_EQ(mpquic::make_round_robin_scheduler()->name(), "round-robin");
   EXPECT_EQ(mpquic::make_redundant_scheduler()->name(), "redundant");
   EXPECT_EQ(core::make_xlink_scheduler({})->name(), "xlink");
 }

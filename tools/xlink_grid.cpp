@@ -13,7 +13,6 @@
 // byte-identical to `run` of the same grid at any worker count and any
 // XLINK_JOBS value (see harness/shard.h for the contract).
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
@@ -24,6 +23,7 @@
 
 #include "harness/grids.h"
 #include "harness/shard.h"
+#include "sim/thread_pool.h"
 
 using namespace xlink;
 using harness::shard::Spool;
@@ -47,7 +47,7 @@ int usage() {
 struct Args {
   std::vector<std::string> positional;
   std::string out;      // -o FILE ("" = stdout)
-  unsigned jobs = 0;    // --jobs N (0 = XLINK_JOBS default)
+  unsigned jobs = 0;    // --jobs N, 1..4096 (0 = XLINK_JOBS default)
 };
 
 bool parse_args(int argc, char** argv, Args& args) {
@@ -58,7 +58,9 @@ bool parse_args(int argc, char** argv, Args& args) {
       args.out = argv[i];
     } else if (a == "--jobs" || a == "-j") {
       if (++i >= argc) return false;
-      args.jobs = static_cast<unsigned>(std::strtoul(argv[i], nullptr, 10));
+      const auto jobs = sim::ThreadPool::parse_jobs(argv[i]);
+      if (!jobs) return false;
+      args.jobs = *jobs;
     } else if (!a.empty() && a[0] == '-') {
       return false;
     } else {
@@ -69,7 +71,8 @@ bool parse_args(int argc, char** argv, Args& args) {
 }
 
 /// Writes `emit`'s output to args.out (atomically enough for CI: whole
-/// string at once) or to stdout when no -o was given.
+/// string at once) or to stdout when no -o was given. A file that cannot
+/// be opened or written in full is an error.
 int write_output(const Args& args,
                  const std::function<void(std::ostream&)>& emit) {
   if (args.out.empty()) {
@@ -79,11 +82,12 @@ int write_output(const Args& args,
   std::ostringstream os;
   emit(os);
   std::ofstream out(args.out, std::ios::trunc);
+  out << os.str();
+  out.close();
   if (!out) {
     std::fprintf(stderr, "xlink_grid: cannot write %s\n", args.out.c_str());
     return 1;
   }
-  out << os.str();
   return 0;
 }
 
