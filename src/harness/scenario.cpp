@@ -36,7 +36,9 @@ Session::Session(SessionConfig config) : config_(std::move(config)) {
   network_->set_trace(trace_.get());
 
   // Wireless-aware primary path selection: path 0 starts the connection.
-  std::vector<net::PathSpec> ordered = config_.paths;
+  // The specs (and their multi-megabyte traces) move into the network.
+  std::vector<net::PathSpec> ordered = std::move(config_.paths);
+  config_.paths.clear();
   if (config_.wireless_aware_primary && ordered.size() > 1) {
     std::vector<net::Wireless> techs;
     techs.reserve(ordered.size());

@@ -120,6 +120,7 @@ class Session {
   video::VideoPlayer* player() { return player_.get(); }
   http::MediaClient& media_client() { return *media_client_; }
   const video::VideoModel& video_model() const { return *video_model_; }
+  /// The session's configuration; its `paths` moved into network().
   const SessionConfig& config() const { return config_; }
   /// The session's trace sink; nullptr unless config.trace.enabled.
   telemetry::TraceSink* trace_sink() { return trace_.get(); }

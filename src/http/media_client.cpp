@@ -74,7 +74,8 @@ void MediaClient::issue_abr_chunk(std::size_t index) {
 
   const quic::StreamId id = conn_.open_stream();
   conn_.set_stream_priority(id, -static_cast<int>(index));
-  chunk_streams_.push_back(id);
+  issued_.push_back({id, 0, issued_bytes_});
+  issued_bytes_ += met.end - met.begin;
   metrics_.push_back(met);
 
   RangeRequest req;
@@ -99,7 +100,8 @@ void MediaClient::issue_next() {
     // Earlier chunks play first: higher stream priority on our requests
     // (the server applies the same rule to its response data).
     conn_.set_stream_priority(id, -static_cast<int>(next_chunk_));
-    chunk_streams_.push_back(id);
+    issued_.push_back({id, 0, issued_bytes_});
+    issued_bytes_ += chunk.end - chunk.begin;
     ChunkMetrics m;
     m.begin = chunk.begin;
     m.end = chunk.end;
@@ -117,34 +119,33 @@ void MediaClient::issue_next() {
 
 std::optional<std::size_t> MediaClient::chunk_of_stream(
     quic::StreamId id) const {
-  const auto it =
-      std::find(chunk_streams_.begin(), chunk_streams_.end(), id);
-  if (it == chunk_streams_.end()) return std::nullopt;
-  return static_cast<std::size_t>(it - chunk_streams_.begin());
+  for (std::size_t i = done_; i < issued_.size(); ++i)
+    if (issued_[i].stream == id) return i;
+  return std::nullopt;
 }
 
 void MediaClient::on_readable(quic::StreamId id) {
   const auto chunk = chunk_of_stream(id);
   if (!chunk) return;
-  // Drain (updates flow control); progress is tracked via read offsets.
-  for (;;) {
+  // Drain (updates flow control). The read that reaches the chunk's end
+  // also reaches the FIN, which retires the stream: stop there.
+  IssuedChunk& ck = issued_[*chunk];
+  while (ck.read < chunk_bytes(*chunk)) {
     auto data = conn_.consume_stream(id, 64 * 1024);
     if (data.empty()) break;
     if (config_.verify_content) {
-      const auto* stream = conn_.recv_stream(id);
-      const std::uint64_t end_off = stream->read_offset();
-      const std::uint64_t start_off = end_off - data.size();
       // Content bytes depend only on offset and seed, which all
       // renditions share, so model_ verifies any rendition.
-      const std::uint64_t base = metrics_[*chunk].begin;
       content_scratch_.resize(data.size());
-      model_.fill(base + start_off, content_scratch_);
+      model_.fill(metrics_[*chunk].begin + ck.read, content_scratch_);
       if (data != content_scratch_) {
         for (std::size_t i = 0; i < data.size(); ++i)
           content_mismatches_ += data[i] != content_scratch_[i];
       }
     }
+    ck.read += data.size();
   }
+  advance_done();
   publish_progress();
 }
 
@@ -157,6 +158,7 @@ void MediaClient::on_finished_stream(quic::StreamId id) {
   ++completed_;
   if (abr_) abr_->on_chunk_downloaded(m.end - m.begin, *m.completed_at -
                                                            m.issued_at);
+  advance_done();
   publish_progress();
   issue_next();
   if (all_done()) {
@@ -165,26 +167,43 @@ void MediaClient::on_finished_stream(quic::StreamId id) {
   }
 }
 
+void MediaClient::advance_done() {
+  for (; done_ < issued_.size(); ++done_) {
+    const ChunkMetrics& m = metrics_[done_];
+    if (!m.completed_at || issued_[done_].read < chunk_bytes(done_)) return;
+    done_bytes_ += chunk_bytes(done_);
+    if (abr_) {
+      const AbrChunk& ck = abr_chunks_[done_];
+      const video::VideoModel& model = *renditions_->model(ck.rung);
+      done_frames_ = std::max(
+          done_frames_, std::min(model.frames_in_prefix(m.end), ck.end_frame));
+    }
+  }
+}
+
 std::uint64_t MediaClient::chunk_have_bytes(std::size_t chunk) const {
-  const auto* stream = conn_.recv_stream(chunk_streams_[chunk]);
-  const std::uint64_t have = stream ? stream->contiguous_received() : 0;
-  return std::min(have, metrics_[chunk].end - metrics_[chunk].begin);
+  const IssuedChunk& ck = issued_[chunk];
+  const std::uint64_t len = chunk_bytes(chunk);
+  if (ck.read >= len) return len;  // read through: the stream has retired
+  // Not opened yet (nothing received), or retired short of the requested
+  // length: what the client read is all the stream ever held.
+  const auto* stream = conn_.recv_stream(ck.stream);
+  return std::min(stream ? stream->contiguous_received() : ck.read, len);
 }
 
 std::uint64_t MediaClient::contiguous_bytes() const {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < chunk_streams_.size(); ++i) {
+  std::uint64_t total = done_bytes_;
+  for (std::size_t i = done_; i < issued_.size(); ++i) {
     const std::uint64_t have = chunk_have_bytes(i);
     total += have;
-    if (have < metrics_[i].end - metrics_[i].begin)
-      break;  // gap: later chunks are not contiguous yet
+    if (have < chunk_bytes(i)) break;  // gap: later chunks are not contiguous
   }
   return total;
 }
 
 std::uint32_t MediaClient::abr_frames_contiguous() const {
-  std::uint32_t frames = 0;
-  for (std::size_t i = 0; i < chunk_streams_.size(); ++i) {
+  std::uint32_t frames = done_frames_;
+  for (std::size_t i = done_; i < issued_.size(); ++i) {
     const AbrChunk& ck = abr_chunks_[i];
     const std::uint64_t have = chunk_have_bytes(i);
     // frames_in_prefix over this rendition's byte space: offsets below
@@ -194,37 +213,45 @@ std::uint32_t MediaClient::abr_frames_contiguous() const {
     const std::uint32_t in_prefix =
         m.frames_in_prefix(metrics_[i].begin + have);
     frames = std::max(frames, std::min(in_prefix, ck.end_frame));
-    if (have < metrics_[i].end - metrics_[i].begin) break;  // gap
+    if (have < chunk_bytes(i)) break;  // gap
   }
   return frames;
+}
+
+std::size_t MediaClient::abr_chunk_after(std::uint32_t frame) const {
+  const auto issued_end =
+      abr_chunks_.begin() + static_cast<std::ptrdiff_t>(issued_.size());
+  return static_cast<std::size_t>(
+      std::partition_point(abr_chunks_.begin(), issued_end,
+                           [frame](const AbrChunk& ck) {
+                             return ck.end_frame <= frame;
+                           }) -
+      abr_chunks_.begin());
 }
 
 std::uint64_t MediaClient::abr_bytes_ahead(
     std::uint32_t playhead_frame) const {
   const std::uint64_t total = contiguous_bytes();
-  std::uint64_t consumed = 0;
-  for (std::size_t i = 0; i < chunk_streams_.size(); ++i) {
+  // Played-past chunks count whole; the playhead's own chunk counts up to
+  // the playhead in its rendition's byte space.
+  const std::size_t i = abr_chunk_after(playhead_frame);
+  std::uint64_t consumed = issued_bytes_;
+  if (i < issued_.size()) {
+    consumed = issued_[i].bytes_before;
     const AbrChunk& ck = abr_chunks_[i];
-    if (ck.end_frame <= playhead_frame) {
-      consumed += metrics_[i].end - metrics_[i].begin;
-      continue;
-    }
     if (ck.begin_frame < playhead_frame) {
       const video::VideoModel& m = *renditions_->model(ck.rung);
       consumed += m.frame_offset(playhead_frame) - metrics_[i].begin;
     }
-    break;
   }
   return total > consumed ? total - consumed : 0;
 }
 
 std::uint64_t MediaClient::abr_playhead_bps(
     std::uint32_t playhead_frame) const {
-  for (std::size_t i = 0; i < chunk_streams_.size(); ++i) {
-    const AbrChunk& ck = abr_chunks_[i];
-    if (playhead_frame >= ck.begin_frame && playhead_frame < ck.end_frame)
-      return renditions_->ladder().bitrate(ck.rung);
-  }
+  const std::size_t i = abr_chunk_after(playhead_frame);
+  if (i < issued_.size() && abr_chunks_[i].begin_frame <= playhead_frame)
+    return renditions_->ladder().bitrate(abr_chunks_[i].rung);
   return 0;  // playhead past the issued chunks; player keeps its last bps
 }
 

@@ -7,6 +7,11 @@
 // contiguous progress to the VideoPlayer and records per-chunk request
 // completion times -- the paper's headline RCT metric.
 //
+// A completed-chunk cursor remembers how many leading chunks are done, so
+// progress walks cost O(chunks in flight), and the client tracks its own
+// read offsets: it never asks the transport about a stream it has read
+// through (the connection has retired it).
+//
 // With an ABR algorithm configured, chunks are frame-aligned and each
 // chunk's rendition is chosen by an AbrController at issue time: the
 // range request targets that rendition's resource and byte range, and
@@ -121,8 +126,19 @@ class MediaClient {
   void on_readable(quic::StreamId id);
   void on_finished_stream(quic::StreamId id);
   void publish_progress();
+  /// Moves the completed-chunk cursor past every leading chunk that is
+  /// read through and recorded complete.
+  void advance_done();
+  /// The chunk of a stream that may still see callbacks (at or past the
+  /// cursor).
   std::optional<std::size_t> chunk_of_stream(quic::StreamId id) const;
+  std::uint64_t chunk_bytes(std::size_t chunk) const {
+    return metrics_[chunk].end - metrics_[chunk].begin;
+  }
   std::uint64_t chunk_have_bytes(std::size_t chunk) const;
+  /// First issued ABR chunk that ends past `frame` (the playhead's chunk,
+  /// or the issued count when every issued chunk ends at or before it).
+  std::size_t abr_chunk_after(std::uint32_t frame) const;
   /// Whole frames contiguously playable from the start (ABR mode).
   std::uint32_t abr_frames_contiguous() const;
   /// Buffered bytes past `playhead_frame` (actual mixed-rendition bytes).
@@ -146,8 +162,22 @@ class MediaClient {
   std::uint64_t chosen_bitrate_frames_ = 0;  // sum bitrate(rung) * frames
   std::uint64_t top_bitrate_frames_ = 0;     // sum bitrate(top)  * frames
 
-  std::vector<quic::StreamId> chunk_streams_;  // stream id per chunk
+  /// Per issued chunk: its stream, the bytes read from it, and the total
+  /// length of the chunks issued before it.
+  struct IssuedChunk {
+    quic::StreamId stream = 0;
+    std::uint64_t read = 0;
+    std::uint64_t bytes_before = 0;
+  };
+  std::vector<IssuedChunk> issued_;
+  std::uint64_t issued_bytes_ = 0;  // total length of the issued chunks
   std::vector<ChunkMetrics> metrics_;
+  // Completed-chunk cursor: the leading chunks read through and recorded
+  // complete (no callback can follow for them), their byte total, and the
+  // whole frames they hold (ABR mode).
+  std::size_t done_ = 0;
+  std::uint64_t done_bytes_ = 0;
+  std::uint32_t done_frames_ = 0;
   std::size_t next_chunk_ = 0;
   std::size_t completed_ = 0;
   std::optional<sim::Time> all_done_at_;

@@ -16,15 +16,23 @@ void MediaServer::add_video(
 }
 
 void MediaServer::on_readable(quic::StreamId id) {
-  if (served_[id]) return;
-  auto chunk = conn_.consume_stream(id, 4096);
-  auto& buf = partial_requests_[id];
-  buf.insert(buf.end(), chunk.begin(), chunk.end());
-  const auto req = parse_request(buf);
-  if (!req) return;
-  served_[id] = true;
-  partial_requests_.erase(id);
-  serve(id, *req);
+  // A request is its whole stream. The read that reaches the FIN retires
+  // the stream, so a request is complete exactly when its stream is gone,
+  // and a late readable for a served request finds nothing to do.
+  if (!conn_.recv_stream(id)) return;
+  auto data = conn_.consume_stream(id, 4096);
+  if (conn_.recv_stream(id)) {  // more bytes to come before the FIN
+    if (!data.empty()) {
+      auto& buf = partial_requests_[id];
+      buf.insert(buf.end(), data.begin(), data.end());
+    }
+    return;
+  }
+  if (auto partial = partial_requests_.extract(id)) {
+    partial.mapped().insert(partial.mapped().end(), data.begin(), data.end());
+    data = std::move(partial.mapped());
+  }
+  if (const auto req = parse_request(data)) serve(id, *req);
 }
 
 void MediaServer::serve(quic::StreamId id, const RangeRequest& req) {

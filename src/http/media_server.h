@@ -44,8 +44,8 @@ class MediaServer {
   quic::Connection& conn_;
   Config config_;
   std::map<std::string, std::shared_ptr<const video::VideoModel>> videos_;
+  /// Request bytes of streams whose FIN has not been read yet.
   std::map<quic::StreamId, std::vector<std::uint8_t>> partial_requests_;
-  std::map<quic::StreamId, bool> served_;
   std::uint64_t requests_served_ = 0;
   std::uint64_t bytes_served_ = 0;
 };

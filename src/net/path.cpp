@@ -22,9 +22,11 @@ EmulatedPath::EmulatedPath(sim::EventLoop& loop, PathSpec spec, sim::Rng rng,
       spec_(std::move(spec)),
       up_(loop, spec_.fixed_rate_mbps * 1e6, link_config(spec_), rng.fork()),
       down_(spec_.down_trace
-                ? Link(loop, *spec_.down_trace, link_config(spec_), rng.fork())
+                ? Link(loop, std::move(*spec_.down_trace), link_config(spec_),
+                       rng.fork())
                 : Link(loop, spec_.fixed_rate_mbps * 1e6, link_config(spec_),
                        rng.fork())) {
+  spec_.down_trace.reset();  // the downlink owns it now
   if (!spec_.fault_plan.empty()) {
     faults_ = std::make_unique<FaultInjector>(loop, spec_.fault_plan,
                                               rng.fork(), trace, path_index);

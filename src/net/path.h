@@ -55,6 +55,7 @@ class EmulatedPath {
   void set_down_receiver(Link::DeliverFn fn);
 
   Wireless tech() const { return spec_.tech; }
+  /// The path's spec, without its down_trace (moved into the downlink).
   const PathSpec& spec() const { return spec_; }
   const LinkStats& up_stats() const { return up_.stats(); }
   const LinkStats& down_stats() const { return down_.stats(); }

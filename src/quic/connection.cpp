@@ -362,6 +362,14 @@ SendStream* Connection::send_stream(StreamId id) {
   return it == send_streams_.end() ? nullptr : &it->second;
 }
 
+SendStream* Connection::open_send_stream(StreamId id) {
+  auto it = send_streams_.find(id);
+  if (it != send_streams_.end()) return &it->second;
+  // A retired stream is closed for good: nothing more may be sent on it.
+  if (is_retired(retired_send_, id)) return nullptr;
+  return &send_streams_.emplace(id, SendStream(id)).first->second;
+}
+
 RecvStream* Connection::recv_stream(StreamId id) {
   auto it = recv_streams_.find(id);
   return it == recv_streams_.end() ? nullptr : &it->second;
@@ -383,10 +391,9 @@ void Connection::stream_send_prioritized(StreamId id,
                                          bool fin, int frame_priority,
                                          std::uint64_t position,
                                          std::uint64_t size) {
-  auto it = send_streams_.find(id);
-  if (it == send_streams_.end())
-    it = send_streams_.emplace(id, SendStream(id)).first;
-  SendStream& stream = it->second;
+  SendStream* opened = open_send_stream(id);
+  if (!opened) return;
+  SendStream& stream = *opened;
   const std::uint64_t len = data.size();
   const std::uint64_t offset = stream.write(std::move(data), fin);
   if (size > 0)
@@ -422,10 +429,7 @@ void Connection::stream_send_prioritized(StreamId id,
 }
 
 void Connection::set_stream_priority(StreamId id, int priority) {
-  auto it = send_streams_.find(id);
-  if (it == send_streams_.end())
-    it = send_streams_.emplace(id, SendStream(id)).first;
-  it->second.set_priority(priority);
+  if (SendStream* stream = open_send_stream(id)) stream->set_priority(priority);
 }
 
 // --------------------------------------------------------------- QoE frame
@@ -656,12 +660,10 @@ bool Connection::send_one_packet(PathId path_id, bool ignore_cwnd) {
     // already-counted offsets).
     if (!head.is_retransmission && !head.is_reinjection) {
       can_take = std::min(can_take, connection_send_window());
-      auto limit_it = peer_max_stream_data_.find(head.stream_id);
-      const std::uint64_t stream_limit =
-          limit_it != peer_max_stream_data_.end()
-              ? limit_it->second
-              : (peer_params_ ? peer_params_->initial_max_stream_data
-                              : config_.params.initial_max_stream_data);
+      const std::uint64_t stream_limit = std::max(
+          stream->peer_max_data(),
+          peer_params_ ? peer_params_->initial_max_stream_data
+                       : config_.params.initial_max_stream_data);
       can_take = std::min(can_take, stream_limit > head.offset
                                         ? stream_limit - head.offset
                                         : 0);
@@ -1140,8 +1142,9 @@ void Connection::handle_frames(PathId path_id,
     } else if (const auto* f = std::get_if<MaxDataFrame>(&frame)) {
       peer_max_data_ = std::max(peer_max_data_, f->maximum);
     } else if (const auto* f = std::get_if<MaxStreamDataFrame>(&frame)) {
-      auto& limit = peer_max_stream_data_[f->stream_id];
-      limit = std::max(limit, f->maximum);
+      // A limit for a retired (or never opened) stream has nothing to lift.
+      if (SendStream* stream = send_stream(f->stream_id))
+        stream->raise_peer_max_data(f->maximum);
     } else if (const auto* f = std::get_if<ConnectionCloseFrame>(&frame)) {
       // Peer-initiated termination: enter draining (RFC 9000 §10.2.2) --
       // nothing is ever sent again, incoming datagrams are dropped.
@@ -1202,16 +1205,32 @@ void Connection::handle_stream_frame(const StreamFrame& f) {
                      ViolationKind::kStreamIdInvalid, f.stream_id, 0);
     return;
   }
-  if (!recv_streams_.contains(f.stream_id) &&
-      recv_streams_.size() >= config_.budgets.max_open_recv_streams) {
-    close_with_error(TransportError::kStreamLimitError,
-                     ViolationKind::kStreamLimit, recv_streams_.size() + 1, 0);
-    return;
-  }
+  // Closed-stream rule: a retired stream was read through its FIN, so a
+  // late duplicate (or re-injected copy) carries nothing new. The packet
+  // is still acknowledged; the frame is dropped.
+  if (is_retired(retired_recv_, f.stream_id)) return;
   auto it = recv_streams_.find(f.stream_id);
   if (it == recv_streams_.end()) {
+    // RFC 9000 §3.2: a stream id implicitly opens every lower id, so the
+    // budget counts each id up to the highest seen that has not retired --
+    // the open streams plus the holes between them. Streams that retire in
+    // order leave no holes; a peer that finishes ids 0, 8, 16, ... leaves
+    // one per stream and reaches the budget, which also bounds the
+    // intervals of retired_recv_.
+    std::uint64_t seen = f.stream_id / 4 + 1;
+    if (!recv_streams_.empty())
+      seen = std::max(seen, recv_streams_.rbegin()->first / 4 + 1);
+    if (!retired_recv_.empty())
+      seen = std::max(seen, retired_recv_.intervals().rbegin()->second);
+    const std::uint64_t outstanding = seen - retired_recv_.covered_bytes();
+    if (outstanding > config_.budgets.max_open_recv_streams) {
+      close_with_error(TransportError::kStreamLimitError,
+                       ViolationKind::kStreamLimit, outstanding, 0);
+      return;
+    }
     it = recv_streams_.emplace(f.stream_id, RecvStream(f.stream_id)).first;
     it->second.set_max_gaps(config_.budgets.max_recv_gaps_per_stream);
+    it->second.set_max_data(config_.params.initial_max_stream_data);
     guard_.peak_open_recv_streams = std::max<std::uint64_t>(
         guard_.peak_open_recv_streams, recv_streams_.size());
   }
@@ -1219,7 +1238,7 @@ void Connection::handle_stream_frame(const StreamFrame& f) {
 
   const std::uint64_t before = stream.contiguous_received();
   const std::uint64_t prev_high =
-      std::max(stream.read_offset(), received_high_[f.stream_id]);
+      std::max(stream.read_offset(), stream.received_high());
   // Final-size integrity (RFC 9000 §4.5): the FIN offset may not move and
   // no data may lie beyond it.
   if (stream.final_size()) {
@@ -1231,13 +1250,8 @@ void Connection::handle_stream_frame(const StreamFrame& f) {
     }
   }
   // Flow control BEFORE the copy: an offset bomb must not be able to
-  // force a giant reassembly-buffer resize.
-  const auto grant_it = local_max_stream_data_.find(f.stream_id);
-  const std::uint64_t stream_grant =
-      grant_it != local_max_stream_data_.end() && grant_it->second > 0
-          ? grant_it->second
-          : config_.params.initial_max_stream_data;
-  if (new_high > stream_grant) {
+  // force a giant reassembly-buffer provisioning.
+  if (new_high > stream.max_data()) {
     close_with_error(TransportError::kFlowControlError,
                      ViolationKind::kStreamFlowControl, new_high, 0);
     return;
@@ -1257,10 +1271,7 @@ void Connection::handle_stream_frame(const StreamFrame& f) {
   guard_.phantom_bytes += stream.phantom_bytes() - phantom_before;
   guard_.peak_stream_gaps = std::max<std::uint64_t>(
       guard_.peak_stream_gaps, stream.tracked_intervals());
-  if (new_high > prev_high) {
-    data_received_ += new_high - prev_high;
-    received_high_[f.stream_id] = new_high;
-  }
+  if (new_high > prev_high) data_received_ += new_high - prev_high;
 
   const bool finished = stream.fully_received();
   if (stream.contiguous_received() > before && on_stream_readable) {
@@ -1269,9 +1280,8 @@ void Connection::handle_stream_frame(const StreamFrame& f) {
       if (on_stream_readable) on_stream_readable(id);
     });
   }
-  if (finished && on_stream_data_finished &&
-      !finished_notified_.contains(f.stream_id)) {
-    finished_notified_.insert(f.stream_id);
+  if (finished && on_stream_data_finished && !stream.finish_announced()) {
+    stream.mark_finish_announced();
     const StreamId id = f.stream_id;
     loop_.schedule_in(0, [this, id] {
       if (on_stream_data_finished) on_stream_data_finished(id);
@@ -1385,9 +1395,14 @@ void Connection::handle_ack_info(PathId acked_path, const AckInfo& info) {
     SentRecord rec = std::move(rit->second);
     p.unacked.erase(rit);
     for (const SendItem& item : rec.items) {
-      auto* stream = send_stream(item.stream_id);
-      if (stream)
-        stream->on_range_acked(item.offset, item.offset + item.length);
+      auto it = send_streams_.find(item.stream_id);
+      if (it == send_streams_.end()) continue;
+      it->second.on_range_acked(item.offset, item.offset + item.length,
+                                item.fin);
+      if (it->second.delivered()) {
+        mark_retired(retired_send_, item.stream_id);
+        send_streams_.erase(it);
+      }
     }
     if (rec.ack_eliciting) {
       p.cc->on_ack(rec.bytes, rec.sent_time, loop_.now(), p.rtt.smoothed(),
@@ -1724,14 +1739,21 @@ std::vector<std::uint8_t> Connection::consume_stream(StreamId id,
                                                      std::size_t max) {
   auto it = recv_streams_.find(id);
   if (it == recv_streams_.end()) return {};
-  auto data = it->second.read(max);
+  RecvStream& stream = it->second;
+  std::vector<std::uint8_t> data(
+      std::min<std::uint64_t>(max, stream.readable_bytes()));
+  stream.read(data);
   data_consumed_ += data.size();
-  maybe_send_flow_updates(id, it->second);
+  queue_flow_updates(stream);
+  if (stream.finished()) {
+    mark_retired(retired_recv_, id);
+    recv_streams_.erase(it);
+  }
+  pump_send();
   return data;
 }
 
-void Connection::maybe_send_flow_updates(StreamId id,
-                                         const RecvStream& stream) {
+void Connection::queue_flow_updates(RecvStream& stream) {
   // Connection level: extend when half the window is consumed.
   const std::uint64_t window = config_.params.initial_max_data;
   if (local_max_data_ - data_consumed_ < window / 2) {
@@ -1741,14 +1763,11 @@ void Connection::maybe_send_flow_updates(StreamId id,
   // Stream level: only the stream just read has moved its read offset
   // since its grant was last checked.
   const std::uint64_t stream_window = config_.params.initial_max_stream_data;
-  auto& granted = local_max_stream_data_[id];
-  if (granted == 0) granted = stream_window;
-  if (granted - stream.read_offset() < stream_window / 2) {
-    granted = stream.read_offset() + stream_window;
+  if (stream.max_data() - stream.read_offset() < stream_window / 2) {
+    stream.set_max_data(stream.read_offset() + stream_window);
     queue_control(fastest_active_path(),
-                  Frame{MaxStreamDataFrame{id, granted}});
+                  Frame{MaxStreamDataFrame{stream.id(), stream.max_data()}});
   }
-  pump_send();
 }
 
 }  // namespace xlink::quic

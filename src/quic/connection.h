@@ -26,7 +26,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -332,12 +331,14 @@ class Connection {
   /// Sets the stream-level priority used by priority re-injection.
   void set_stream_priority(StreamId id, int priority);
 
+  /// Live streams only: nullptr once a stream has retired (below).
   SendStream* send_stream(StreamId id);
   RecvStream* recv_stream(StreamId id);
   const RecvStream* recv_stream(StreamId id) const;
 
   /// Reads up to `max` bytes from a receive stream, updating flow-control
-  /// grants (the application-facing read API).
+  /// grants (the application-facing read API). The read that leaves the
+  /// stream finished (FIN seen, every byte read) retires it.
   std::vector<std::uint8_t> consume_stream(StreamId id, std::size_t max);
 
   std::function<void(StreamId)> on_stream_readable;
@@ -479,7 +480,23 @@ class Connection {
   /// Queues PATH_STATUS(`status`) about `p` on the fastest active path,
   /// numbered by p's outgoing status sequence.
   void queue_path_status(PathState& p, std::uint64_t status);
-  void maybe_send_flow_updates(StreamId id, const RecvStream& stream);
+  /// Queues MAX_DATA / MAX_STREAM_DATA grants after the application read
+  /// from `stream`.
+  void queue_flow_updates(RecvStream& stream);
+
+  // Stream retirement (RFC 9000 §3): a send stream goes once the peer has
+  // acknowledged every byte and the FIN, a receive stream once the
+  // application has read it through its FIN. Its id is remembered, so a
+  // late or duplicated frame for it is acknowledged and otherwise dropped.
+  // Ids are kept as stream indices (id / 4, the only id shape in use).
+  static bool is_retired(const IntervalSet& retired, StreamId id) {
+    return retired.contains(id / 4, id / 4 + 1);
+  }
+  static void mark_retired(IntervalSet& retired, StreamId id) {
+    retired.add(id / 4, id / 4 + 1);
+  }
+  /// The live send stream `id`, opened on first use; nullptr if retired.
+  SendStream* open_send_stream(StreamId id);
 
   // Handshake helpers.
   void send_handshake_initial();
@@ -507,20 +524,20 @@ class Connection {
   /// Control frames waiting per path (acks excluded; built on demand).
   std::map<PathId, std::deque<Frame>> pending_control_;
 
+  // Live streams; per-stream flow-control state lives in the stream.
   std::map<StreamId, SendStream> send_streams_;
   std::map<StreamId, RecvStream> recv_streams_;
+  // Retired stream indices: one interval while streams retire in order.
+  IntervalSet retired_send_;
+  IntervalSet retired_recv_;
   StreamId next_stream_ = 0;
 
-  // Flow control: peer's limits on us / our grants to the peer.
+  // Connection-level flow control: peer's limit on us / our grant to it.
   std::uint64_t peer_max_data_ = 0;
-  std::map<StreamId, std::uint64_t> peer_max_stream_data_;
   std::uint64_t local_max_data_ = 0;
   std::uint64_t data_sent_ = 0;       // stream bytes charged to peer_max_data_
   std::uint64_t data_received_ = 0;   // stream bytes charged to local grant
   std::uint64_t data_consumed_ = 0;   // stream bytes read by the application
-  std::map<StreamId, std::uint64_t> local_max_stream_data_;
-  std::map<StreamId, std::uint64_t> received_high_;  // per-stream max offset
-  std::set<StreamId> finished_notified_;
 
   // Connection IDs: ours issued to the peer, and the peer's issued to us.
   std::map<std::uint32_t, ConnectionId> local_cids_;

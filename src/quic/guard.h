@@ -73,7 +73,8 @@ const char* violation_kind_name(ViolationKind kind);
 /// can force this endpoint to hold; the defaults leave an order of
 /// magnitude of headroom over anything honest traffic produces.
 struct ResourceBudgets {
-  /// Open receive streams a peer may create.
+  /// Receive streams a peer may hold open: every id up to the highest one
+  /// seen that has not retired (open streams and the holes below them).
   std::uint64_t max_open_recv_streams = 1024;
 
   /// Reassembly gaps tracked per receive stream before the IntervalSet

@@ -2,6 +2,7 @@
 // stream send/ack tracking and receive-side reassembly.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <map>
@@ -47,19 +48,22 @@ inline void IntervalSet::add(std::uint64_t begin, std::uint64_t end) {
   if (begin >= end) return;
   // Find the first interval that could overlap or touch [begin, end).
   auto it = intervals_.upper_bound(begin);
-  if (it != intervals_.begin()) {
+  if (it != intervals_.begin() && std::prev(it)->second >= begin) {
+    // Grow the predecessor in place (no node churn: in-order appends, the
+    // common case, never allocate), then swallow what it now reaches.
     auto prev = std::prev(it);
-    if (prev->second >= begin) {
-      begin = prev->first;
-      end = std::max(end, prev->second);
-      it = intervals_.erase(prev);
+    prev->second = std::max(prev->second, end);
+    while (it != intervals_.end() && it->first <= prev->second) {
+      prev->second = std::max(prev->second, it->second);
+      it = intervals_.erase(it);
     }
+    return;
   }
   while (it != intervals_.end() && it->first <= end) {
     end = std::max(end, it->second);
     it = intervals_.erase(it);
   }
-  intervals_.emplace(begin, end);
+  intervals_.emplace_hint(it, begin, end);
 }
 
 inline bool IntervalSet::contains(std::uint64_t begin, std::uint64_t end) const {

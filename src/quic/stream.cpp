@@ -1,12 +1,16 @@
 #include "quic/stream.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace xlink::quic {
 
 std::uint64_t SendStream::write(std::vector<std::uint8_t> data, bool fin) {
   const std::uint64_t offset = buffer_.size();
-  buffer_.insert(buffer_.end(), data.begin(), data.end());
+  if (buffer_.empty())
+    buffer_ = std::move(data);
+  else
+    buffer_.insert(buffer_.end(), data.begin(), data.end());
   if (fin) fin_written_ = true;
   return offset;
 }
@@ -46,8 +50,10 @@ std::span<const std::uint8_t> SendStream::view_range(std::uint64_t offset,
   return {buffer_.data() + offset, n};
 }
 
-void SendStream::on_range_acked(std::uint64_t begin, std::uint64_t end) {
+void SendStream::on_range_acked(std::uint64_t begin, std::uint64_t end,
+                                bool fin) {
   acked_.add(begin, end);
+  if (fin) fin_acked_ = true;
 }
 
 std::vector<std::pair<std::uint64_t, std::uint64_t>> SendStream::unacked_within(
@@ -73,29 +79,37 @@ bool SendStream::fully_acked() const {
 
 void RecvStream::on_data(std::uint64_t offset,
                          std::span<const std::uint8_t> data, bool fin) {
-  if (fin) {
-    const std::uint64_t fs = offset + data.size();
-    if (!final_size_) final_size_ = fs;
+  const std::uint64_t end = offset + data.size();
+  if (fin && !final_size_) final_size_ = end;
+  received_high_ = std::max(received_high_, end);
+  if (data.empty()) return;
+  // Count bytes we already had (duplicates from re-injection).
+  for (const auto& [b, e] : received_.intervals()) {
+    const std::uint64_t lo = std::max<std::uint64_t>(b, offset);
+    const std::uint64_t hi = std::min<std::uint64_t>(e, end);
+    if (hi > lo) duplicate_bytes_ += hi - lo;
   }
-  if (!data.empty()) {
-    // Count bytes we already had (duplicates from re-injection).
-    for (const auto& [b, e] : received_.intervals()) {
-      const std::uint64_t lo = std::max<std::uint64_t>(b, offset);
-      const std::uint64_t hi =
-          std::min<std::uint64_t>(e, offset + data.size());
-      if (hi > lo) duplicate_bytes_ += hi - lo;
+  // Bytes below the read offset were consumed already; store the rest,
+  // provisioning zero-filled blocks through the last byte (a gap between
+  // the read offset and `offset` gets blocks too, so it reads as zeros).
+  if (end > read_offset_) {
+    const std::uint64_t last_block = (end - 1) / kBlockBytes;
+    while (first_block_ + blocks_.size() <= last_block)
+      blocks_.push_back(net::PacketBuffer(kBlockBytes));
+    for (std::uint64_t at = std::max(offset, read_offset_); at < end;) {
+      const std::size_t in_block = at % kBlockBytes;
+      const std::size_t n =
+          std::min<std::uint64_t>(kBlockBytes - in_block, end - at);
+      std::memcpy(block_at(at) + in_block, data.data() + (at - offset), n);
+      at += n;
     }
-    if (buffer_.size() < offset + data.size())
-      buffer_.resize(offset + data.size());
-    std::copy(data.begin(), data.end(),
-              buffer_.begin() + static_cast<long>(offset));
-    received_.add(offset, offset + data.size());
-    if (max_gaps_ && received_.interval_count() > max_gaps_) {
-      const std::uint64_t phantom = received_.collapse_to(max_gaps_);
-      if (phantom > 0) {
-        ++gap_collapses_;
-        phantom_bytes_ += phantom;
-      }
+  }
+  received_.add(offset, end);
+  if (max_gaps_ && received_.interval_count() > max_gaps_) {
+    const std::uint64_t phantom = received_.collapse_to(max_gaps_);
+    if (phantom > 0) {
+      ++gap_collapses_;
+      phantom_bytes_ += phantom;
     }
   }
 }
@@ -105,13 +119,21 @@ std::uint64_t RecvStream::readable_bytes() const {
   return contiguous > read_offset_ ? contiguous - read_offset_ : 0;
 }
 
-std::vector<std::uint8_t> RecvStream::read(std::size_t max) {
-  const std::uint64_t n = std::min<std::uint64_t>(max, readable_bytes());
-  std::vector<std::uint8_t> out(
-      buffer_.begin() + static_cast<long>(read_offset_),
-      buffer_.begin() + static_cast<long>(read_offset_ + n));
+std::size_t RecvStream::read(std::span<std::uint8_t> out) {
+  const std::size_t n = std::min<std::uint64_t>(out.size(), readable_bytes());
+  for (std::size_t done = 0; done < n;) {
+    const std::uint64_t at = read_offset_ + done;
+    const std::size_t in_block = at % kBlockBytes;
+    const std::size_t k =
+        std::min<std::uint64_t>(kBlockBytes - in_block, n - done);
+    std::memcpy(out.data() + done, block_at(at) + in_block, k);
+    done += k;
+  }
   read_offset_ += n;
-  return out;
+  // Every block wholly below the read offset holds only consumed bytes.
+  for (; first_block_ < read_offset_ / kBlockBytes; ++first_block_)
+    blocks_.pop_front();
+  return n;
 }
 
 }  // namespace xlink::quic

@@ -23,6 +23,12 @@ class RingQueue {
   T& front() { return slots_[head_]; }
   const T& front() const { return slots_[head_]; }
 
+  /// The i-th element from the front (i < size()).
+  T& operator[](std::size_t i) { return slots_[(head_ + i) & mask_]; }
+  const T& operator[](std::size_t i) const {
+    return slots_[(head_ + i) & mask_];
+  }
+
   void push_back(T value) {
     if (count_ == slots_.size()) grow();
     slots_[(head_ + count_) & mask_] = std::move(value);

@@ -11,16 +11,24 @@ namespace {
 LinkTrace curve_to_trace(const std::vector<double>& mbps_per_step,
                          sim::Duration step) {
   const double step_ms = sim::to_millis(step);
-  std::vector<std::uint32_t> ms;
+  // Whole packets per step at the step's rate, fractions carried forward;
+  // counted first so the (multi-megabyte) trace is sized once.
+  std::vector<std::uint64_t> per_step(mbps_per_step.size());
+  std::uint64_t total = 0;
   double credit = 0.0;
   for (std::size_t i = 0; i < mbps_per_step.size(); ++i) {
-    // Packets this step at the step's rate.
     const double pkts =
         mbps_per_step[i] * 1e6 / 8.0 / kDeliveryMtu * (step_ms / 1000.0);
     credit += pkts;
-    const auto whole = static_cast<std::uint64_t>(credit);
-    credit -= static_cast<double>(whole);
+    per_step[i] = static_cast<std::uint64_t>(credit);
+    credit -= static_cast<double>(per_step[i]);
+    total += per_step[i];
+  }
+  std::vector<std::uint32_t> ms;
+  ms.reserve(std::max<std::uint64_t>(total, 1));
+  for (std::size_t i = 0; i < mbps_per_step.size(); ++i) {
     // Spread opportunities uniformly within the step.
+    const std::uint64_t whole = per_step[i];
     const double base_ms = static_cast<double>(i) * step_ms;
     for (std::uint64_t k = 0; k < whole; ++k) {
       const double frac = (static_cast<double>(k) + 0.5) /

@@ -8,16 +8,21 @@
 //      are warm;
 //   2. a full end-to-end session stays within a bounded allocation budget
 //      per packet (connection bookkeeping allocates, but it must not scale
-//      with payload bytes or regress silently).
+//      with payload bytes or regress silently);
+//   3. a long session's peak live heap stays bounded: stream memory
+//      follows the protocol windows, not the video's length.
 //
 // The wrappers forward to std::malloc/std::free, which keeps ASan's
-// malloc-level checking intact when this binary is built sanitized.
+// malloc-level checking intact when this binary is built sanitized; live
+// bytes are the malloc_usable_size of every block not yet freed.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <thread>
 #include <vector>
 
 #include "fec/framer.h"
@@ -28,6 +33,7 @@
 #include "quic/frame.h"
 #include "quic/pacer.h"
 #include "quic/packet.h"
+#include "quic/stream.h"
 #include "sim/event_loop.h"
 #include "sim/rng.h"
 #include "trace/synthetic.h"
@@ -36,24 +42,37 @@ namespace {
 
 std::atomic<std::uint64_t> g_allocs{0};
 std::atomic<std::uint64_t> g_frees{0};
+std::atomic<std::int64_t> g_live_bytes{0};
+std::atomic<std::int64_t> g_peak_live_bytes{0};
 
 std::uint64_t alloc_count() {
   return g_allocs.load(std::memory_order_relaxed);
 }
 
+void* counted(void* p) {
+  if (!p) return p;
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  const auto bytes = static_cast<std::int64_t>(malloc_usable_size(p));
+  const std::int64_t live =
+      g_live_bytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+  std::int64_t peak = g_peak_live_bytes.load(std::memory_order_relaxed);
+  while (live > peak && !g_peak_live_bytes.compare_exchange_weak(
+                            peak, live, std::memory_order_relaxed)) {
+  }
+  return p;
+}
+
 }  // namespace
 
 void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
+  if (void* p = counted(std::malloc(size ? size : 1))) return p;
   throw std::bad_alloc();
 }
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size ? size : 1);
+  return counted(std::malloc(size ? size : 1));
 }
 
 void* operator new[](std::size_t size, const std::nothrow_t& nt) noexcept {
@@ -61,7 +80,11 @@ void* operator new[](std::size_t size, const std::nothrow_t& nt) noexcept {
 }
 
 void operator delete(void* p) noexcept {
-  if (p) g_frees.fetch_add(1, std::memory_order_relaxed);
+  if (p) {
+    g_frees.fetch_add(1, std::memory_order_relaxed);
+    g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                           std::memory_order_relaxed);
+  }
   std::free(p);
 }
 
@@ -275,6 +298,78 @@ TEST(AllocGuard, FullSessionAllocationsPerPacketAreBounded) {
   EXPECT_LT(per_packet, 32.0)
       << "session made " << (after - before) << " allocations for " << packets
       << " packets (" << per_packet << "/packet)";
+}
+
+/// The receive-stream warm path: STREAM data lands in pooled blocks, the
+/// read copies it out and hands every block the read offset passed back to
+/// the pool, and in-order data only ever extends one reassembly interval --
+/// so once warm the write/read/release cycle never touches the heap.
+TEST(AllocGuard, WarmRecvStreamCycleIsAllocationFree) {
+  quic::RecvStream stream(4);
+  const std::vector<std::uint8_t> payload(1200, 0x5a);
+  std::vector<std::uint8_t> out(4096);
+  std::uint64_t offset = 0;
+  const auto cycle = [&] {
+    stream.on_data(offset, payload, false);
+    stream.on_data(offset, payload, false);  // a re-injected duplicate
+    offset += payload.size();
+    ASSERT_EQ(stream.read(out), payload.size());
+  };
+  for (int i = 0; i < 64; ++i) cycle();  // warm-up: pool slots, ring storage
+
+  const auto& pool = net::PacketBufferPool::local().counters();
+  const std::uint64_t held = pool.outstanding();
+  const std::uint64_t before = alloc_count();
+  for (int i = 0; i < 4096; ++i) cycle();  // ~4.9 MB through the stream
+  const std::uint64_t after = alloc_count();
+
+  EXPECT_EQ(after - before, 0u)
+      << "warm receive-stream cycle allocated " << (after - before)
+      << " times";
+  EXPECT_EQ(stream.read_offset(), offset);
+  // Read blocks went back to the pool: the stream still holds at most the
+  // one or two blocks straddling its read offset.
+  EXPECT_LE(pool.outstanding(), held + 1);
+  EXPECT_GT(pool.pool_hits, 0u);
+}
+
+/// Tier-1 soak: a 120 s video at 8 Mb/s is 120 MB of content, and every
+/// byte crosses a send and a receive stream. Streams retire when done and
+/// receive blocks return to the pool as they are read, so the session's
+/// peak live heap stays far below the content size. The session runs on
+/// its own thread so its thread-local packet pool counts from zero.
+TEST(AllocGuard, LongSessionPeakHeapStaysBounded) {
+  constexpr std::int64_t kPeakBound = 16 << 20;
+  bool finished = false;
+  std::int64_t peak = 0;
+  std::thread worker([&] {
+    const std::int64_t base = g_live_bytes.load(std::memory_order_relaxed);
+    g_peak_live_bytes.store(base, std::memory_order_relaxed);
+    {
+      harness::SessionConfig cfg;
+      cfg.scheme = core::Scheme::kXlink;
+      cfg.seed = 12;
+      cfg.time_limit = sim::seconds(240);
+      cfg.video.duration = sim::seconds(120);
+      cfg.video.bitrate_bps = 8'000'000;
+      cfg.video.seed = 12;
+      // Traces loop past their end; a 30 s period keeps them small.
+      cfg.paths.push_back(harness::make_path_spec(
+          net::Wireless::k5gNsa, trace::nr_5g(61, sim::seconds(30)),
+          sim::millis(30)));
+      cfg.paths.push_back(harness::make_path_spec(
+          net::Wireless::kLte, trace::stable_lte(62, sim::seconds(30)),
+          sim::millis(60)));
+      harness::Session session(std::move(cfg));
+      finished = session.run().download_finished;
+    }
+    peak = g_peak_live_bytes.load(std::memory_order_relaxed) - base;
+  });
+  worker.join();
+
+  EXPECT_TRUE(finished);
+  EXPECT_LT(peak, kPeakBound) << "a 120 s, 8 Mb/s session peaked at "
+                              << peak / (1 << 20) << " MB of live heap";
 }
 
 /// Warm pacer + delivery-rate sampler: the per-packet stamp/ack/refill

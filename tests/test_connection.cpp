@@ -97,6 +97,38 @@ TEST(Connection, StreamTransferServerToClient) {
   EXPECT_EQ(pair.client->consume_stream(id, 100000), payload);
 }
 
+TEST(Connection, FinishedStreamsRetireOnBothSides) {
+  WirePair pair(mp_options());
+  ASSERT_TRUE(pair.establish());
+  const StreamId id = pair.client->open_stream();
+  pair.client->stream_send(id, test::bytes_of("req"), true);
+  pair.run_for(sim::millis(100));
+  // Acknowledged in full (bytes and FIN): the request's send side is gone.
+  EXPECT_EQ(pair.client->send_stream(id), nullptr);
+  // Read through its FIN: the server's receive side retires with the read.
+  ASSERT_NE(pair.server->recv_stream(id), nullptr);
+  EXPECT_EQ(pair.server->consume_stream(id, 100), test::bytes_of("req"));
+  EXPECT_EQ(pair.server->recv_stream(id), nullptr);
+
+  const auto payload = test::pattern_bytes(80000, 3);
+  pair.server->stream_send(id, payload, true);
+  pair.run_for(sim::seconds(1));
+  EXPECT_EQ(pair.server->send_stream(id), nullptr);
+  // Received but not read yet: the client still holds it.
+  ASSERT_NE(pair.client->recv_stream(id), nullptr);
+  EXPECT_EQ(pair.client->consume_stream(id, 60000).size(), 60000u);
+  ASSERT_NE(pair.client->recv_stream(id), nullptr);
+  EXPECT_EQ(pair.client->consume_stream(id, 60000).size(), 20000u);
+  EXPECT_EQ(pair.client->recv_stream(id), nullptr);
+
+  // A retired stream is closed for good: a late write does not reopen it.
+  pair.server->stream_send(id, test::bytes_of("late"), true);
+  pair.server->set_stream_priority(id, 1);
+  EXPECT_EQ(pair.server->send_stream(id), nullptr);
+  pair.run_for(sim::millis(100));
+  EXPECT_EQ(pair.client->recv_stream(id), nullptr);
+}
+
 TEST(Connection, LargeTransferExceedsInitialFlowControlWindows) {
   WirePair::Options o = mp_options();
   o.client_config.params.initial_max_data = 64 * 1024;
@@ -210,21 +242,22 @@ TEST(Connection, RecoversFromBurstLoss) {
   const StreamId id = pair.client->open_stream();
   pair.client->stream_send(id, test::bytes_of("r"), true);
   pair.run_for(sim::millis(50));
-  pair.server->stream_send(id, test::pattern_bytes(200 * 1024, 5), true);
+  const auto payload = test::pattern_bytes(200 * 1024, 5);
+  pair.server->stream_send(id, payload, true);
   pair.run_for(sim::millis(30));
   dropping = true;
   pair.run_for(sim::millis(200));
   dropping = false;
-  // Give loss detection and retransmission time to finish the job.
-  for (int i = 0; i < 100; ++i) {
+  // Give loss detection and retransmission time to finish the job. The
+  // read that reaches the FIN retires the stream, so progress is what the
+  // application read.
+  std::vector<std::uint8_t> received;
+  for (int i = 0; i < 100 && received.size() < payload.size(); ++i) {
     pair.run_for(sim::millis(50));
-    pair.client->consume_stream(id, 1 << 20);
-    auto* stream = pair.client->recv_stream(id);
-    if (stream && stream->fully_received()) break;
+    auto chunk = pair.client->consume_stream(id, 1 << 20);
+    received.insert(received.end(), chunk.begin(), chunk.end());
   }
-  auto* stream = pair.client->recv_stream(id);
-  ASSERT_NE(stream, nullptr);
-  EXPECT_TRUE(stream->fully_received());
+  EXPECT_EQ(received, payload);
   EXPECT_GT(pair.server->stats().packets_lost +
                 pair.server->stats().retransmitted_bytes,
             0u);
@@ -248,18 +281,17 @@ TEST(Connection, AbandonPathRescuesInFlightData) {
   pair.client->stream_send(id, test::bytes_of("r"), true);
   pair.run_for(sim::millis(50));
   blackhole = true;
-  pair.server->stream_send(id, test::pattern_bytes(300 * 1024, 7), true);
+  const auto payload = test::pattern_bytes(300 * 1024, 7);
+  pair.server->stream_send(id, payload, true);
   pair.run_for(sim::millis(120));
   pair.server->abandon_path(1);
-  for (int i = 0; i < 100; ++i) {
+  std::vector<std::uint8_t> received;
+  for (int i = 0; i < 100 && received.size() < payload.size(); ++i) {
     pair.run_for(sim::millis(50));
-    pair.client->consume_stream(id, 1 << 20);
-    auto* stream = pair.client->recv_stream(id);
-    if (stream && stream->fully_received()) break;
+    auto chunk = pair.client->consume_stream(id, 1 << 20);
+    received.insert(received.end(), chunk.begin(), chunk.end());
   }
-  auto* stream = pair.client->recv_stream(id);
-  ASSERT_NE(stream, nullptr);
-  EXPECT_TRUE(stream->fully_received());
+  EXPECT_EQ(received, payload);
 }
 
 TEST(Connection, MigrationMovesTrafficAndResetsCwnd) {
@@ -271,7 +303,8 @@ TEST(Connection, MigrationMovesTrafficAndResetsCwnd) {
   const StreamId id = pair.client->open_stream();
   pair.client->stream_send(id, test::bytes_of("r"), true);
   pair.run_for(sim::millis(50));
-  pair.server->stream_send(id, test::pattern_bytes(100 * 1024, 2), true);
+  const auto payload = test::pattern_bytes(100 * 1024, 2);
+  pair.server->stream_send(id, payload, true);
   pair.run_for(sim::millis(60));
 
   pair.client->migrate_to_path(1);
@@ -279,14 +312,13 @@ TEST(Connection, MigrationMovesTrafficAndResetsCwnd) {
   EXPECT_EQ(pair.client->path_state(0).state, PathState::State::kAbandoned);
   EXPECT_TRUE(pair.client->has_path(1));
 
-  for (int i = 0; i < 100; ++i) {
+  std::vector<std::uint8_t> received;
+  for (int i = 0; i < 100 && received.size() < payload.size(); ++i) {
     pair.run_for(sim::millis(50));
-    pair.client->consume_stream(id, 1 << 20);
-    auto* stream = pair.client->recv_stream(id);
-    if (stream && stream->fully_received()) break;
+    auto chunk = pair.client->consume_stream(id, 1 << 20);
+    received.insert(received.end(), chunk.begin(), chunk.end());
   }
-  auto* stream = pair.client->recv_stream(id);
-  ASSERT_TRUE(stream && stream->fully_received());
+  EXPECT_EQ(received, payload);
   // Server learned about the abandon and stopped using path 0.
   EXPECT_EQ(pair.server->path_state(0).state, PathState::State::kAbandoned);
 }

@@ -69,9 +69,11 @@ TEST(ConnectionEdge, DuplicateDatagramsAreIdempotent) {
   pair.run_for(sim::seconds(2));
   auto* stream = pair.client->recv_stream(id);
   ASSERT_TRUE(stream && stream->fully_received());
-  EXPECT_EQ(pair.client->consume_stream(id, 1 << 20), payload);
   // Duplicates must not inflate stream content or crash loss accounting.
   EXPECT_EQ(*stream->final_size(), payload.size());
+  EXPECT_EQ(pair.client->consume_stream(id, 1 << 20), payload);
+  // Read through its FIN, the stream is retired.
+  EXPECT_EQ(pair.client->recv_stream(id), nullptr);
 }
 
 TEST(ConnectionEdge, PacketNumberSpacesArePerPath) {
@@ -112,15 +114,15 @@ TEST(ConnectionEdge, AckRangesStayBoundedUnderSparseLoss) {
   const StreamId id = pair.client->open_stream();
   pair.client->stream_send(id, test::bytes_of("r"), true);
   pair.run_for(sim::millis(100));
-  pair.server->stream_send(id, test::pattern_bytes(300 * 1024, 3), true);
-  for (int i = 0; i < 100; ++i) {
+  const auto payload = test::pattern_bytes(300 * 1024, 3);
+  pair.server->stream_send(id, payload, true);
+  std::vector<std::uint8_t> received;
+  for (int i = 0; i < 100 && received.size() < payload.size(); ++i) {
     pair.run_for(sim::millis(50));
-    pair.client->consume_stream(id, 1 << 20);
-    auto* s = pair.client->recv_stream(id);
-    if (s && s->fully_received()) break;
+    auto chunk = pair.client->consume_stream(id, 1 << 20);
+    received.insert(received.end(), chunk.begin(), chunk.end());
   }
-  auto* s = pair.client->recv_stream(id);
-  ASSERT_TRUE(s && s->fully_received());
+  ASSERT_EQ(received, payload);
   EXPECT_LE(pair.client->path_state(0).recv_ranges.size(), 32u);
 }
 

@@ -122,6 +122,54 @@ TEST(HostilePeer, StreamExhaustionClosesConnection) {
   rig.expect_no_leaks();
 }
 
+TEST(HostilePeer, FinishedStreamsWithHolesCloseConnection) {
+  WirePair::Options opts;
+  opts.server_config.budgets.max_open_recv_streams = 64;
+  AttackRig rig(opts);
+  Connection& server = *rig.pair->server;
+  auto& attacker = rig.aim(server);
+
+  // Each stream is whole and read through, so it retires at once and is
+  // never open for long; but stride 8 leaves a hole below every one, and
+  // each retired id would otherwise pin its own interval.
+  int streams = 0;
+  for (quic::StreamId id = 0; id < 8 * 400 && !server.is_closed(); id += 8) {
+    attacker.inject(0, {Frame{quic::StreamFrame{id, 0, {1}, true}}});
+    server.consume_stream(id, 100);
+    ++streams;
+  }
+
+  expect_closed_with(rig, server, TransportError::kStreamLimitError);
+  // 64 retired streams leave 64 holes: the 65th id is one too many.
+  EXPECT_EQ(streams, 65);
+  EXPECT_EQ(server.guard_counters().peak_open_recv_streams, 1u);
+  rig.expect_no_leaks();
+}
+
+TEST(HostilePeer, FrameForRetiredStreamIsDroppedNotReopened) {
+  AttackRig rig;
+  Connection& server = *rig.pair->server;
+  auto& attacker = rig.aim(server);
+
+  // A whole request, read through its FIN: the stream retires.
+  attacker.inject(0, {Frame{quic::StreamFrame{4, 0, {1, 2, 3}, true}}});
+  ASSERT_EQ(server.consume_stream(4, 100).size(), 3u);
+  EXPECT_EQ(server.recv_stream(4), nullptr);
+
+  // Late copies -- a re-injected duplicate, and bytes past the old final
+  // size -- are acknowledged and dropped: no stream reappears and the
+  // connection stays open.
+  attacker.inject(0, {Frame{quic::StreamFrame{4, 0, {1, 2, 3}, true}}});
+  attacker.inject(0, {Frame{quic::StreamFrame{4, 3, {4}, false}}});
+  EXPECT_EQ(server.recv_stream(4), nullptr);
+  EXPECT_FALSE(server.is_closed());
+  EXPECT_EQ(server.guard_counters().peak_open_recv_streams, 1u);
+  const auto& ranges = server.path_state(0).recv_ranges;
+  ASSERT_FALSE(ranges.empty());
+  EXPECT_EQ(ranges.front().last, attacker.next_pn(0) - 1);  // to be acked
+  rig.expect_no_leaks();
+}
+
 TEST(HostilePeer, FabricatedStreamIdClosesConnection) {
   AttackRig rig;
   auto& attacker = rig.aim(*rig.pair->server);

@@ -2,11 +2,13 @@
 // connection pair.
 #include <gtest/gtest.h>
 
+#include "harness/scenario.h"
 #include "http/media_client.h"
 #include "http/media_server.h"
 #include "http/range_protocol.h"
 #include "mpquic/schedulers.h"
 #include "test_support.h"
+#include "trace/synthetic.h"
 
 namespace xlink::http {
 namespace {
@@ -161,6 +163,36 @@ TEST(MediaClient, RespectsConcurrencyLimit) {
   for (const auto& m : client.chunk_metrics())
     if (!m.completed_at) ++issued;
   EXPECT_LE(issued, 2u);
+}
+
+TEST(MediaClient, DownloadsMoreChunksThanTheServerStreamBudget) {
+  // 20 s at 4 Mb/s in 8 KiB chunks: more chunk streams than the server's
+  // open-stream budget. Served request streams retire, so the budget
+  // bounds the requests in flight, not the video's length.
+  harness::SessionConfig cfg;
+  cfg.seed = 3;
+  cfg.video.duration = sim::seconds(20);
+  cfg.video.bitrate_bps = 4'000'000;
+  cfg.video.seed = 3;
+  cfg.client.chunk_bytes = 8 * 1024;
+  cfg.time_limit = sim::seconds(120);
+  cfg.paths.push_back(harness::make_path_spec(
+      net::Wireless::kWifi, trace::stable_lte(31, sim::seconds(30)),
+      sim::millis(30)));
+  cfg.paths.push_back(harness::make_path_spec(
+      net::Wireless::kLte, trace::stable_lte(32, sim::seconds(30)),
+      sim::millis(60)));
+  const auto max_concurrent =
+      static_cast<std::uint64_t>(cfg.client.max_concurrent);
+  harness::Session session(std::move(cfg));
+  const quic::Connection& server = session.server_conn();
+  ASSERT_GT(session.media_client().chunk_count(),
+            server.config().budgets.max_open_recv_streams);
+
+  const auto result = session.run();
+  EXPECT_TRUE(result.download_finished);
+  EXPECT_EQ(server.guard_counters().violations, 0u);
+  EXPECT_LE(server.guard_counters().peak_open_recv_streams, max_concurrent);
 }
 
 TEST(MediaClient, FeedsPlayerContiguousProgress) {
