@@ -22,14 +22,15 @@ std::pair<int, int> record_class(const quic::SentRecord& rec) {
 }  // namespace
 
 void ReinjectionEngine::run(quic::Connection& conn) {
-  if (conn.schedulable_path_ids().size() < 2) return;
+  const quic::PathList schedulable = conn.schedulable_path_ids();
+  if (schedulable.size() < 2) return;
   const sim::Time now = conn.loop().now();
 
   // Re-arm interval: a record whose duplicate has not produced an ack
   // within the fast path's delivery time is still blocked -- duplicate it
   // again (the QoE gate continues to bound the cost).
   sim::Duration rearm = sim::millis(200);
-  for (quic::PathId id : conn.schedulable_path_ids()) {
+  for (quic::PathId id : schedulable) {
     const auto& p = conn.path_state(id);
     rearm = std::max(rearm, p.rtt.rtt_plus_var());
   }
@@ -50,7 +51,7 @@ void ReinjectionEngine::run(quic::Connection& conn) {
   // not "fast" no matter what its stale RTT estimator claims.
   std::optional<quic::PathId> fastest;
   sim::Duration fastest_rtt = 0;
-  for (quic::PathId id : conn.schedulable_path_ids()) {
+  for (quic::PathId id : schedulable) {
     const auto& p = conn.path_state(id);
     const sim::Duration rtt = mpquic::effective_rtt(conn, p);
     if (!fastest || rtt < fastest_rtt) {
@@ -68,7 +69,7 @@ void ReinjectionEngine::run(quic::Connection& conn) {
     if (p.health == quic::PathState::Health::kProbing) continue;
     const sim::Duration overdue_after =
         std::max<sim::Duration>(p.rtt.rtt_plus_var(), sim::millis(200));
-    for (auto& [pn, rec] : p.unacked) {
+    for (quic::SentRecord& rec : p.loss.unacked()) {
       if (rec.items.empty() || rec.is_reinjection) continue;
       if (rec.reinjected) {
         // Re-arm only when the earlier duplicate did not resolve the block:
@@ -83,7 +84,7 @@ void ReinjectionEngine::run(quic::Connection& conn) {
       // Mutual awareness with FEC: a packet a recent repair window covers
       // can be rebuilt from the repair symbol -- duplicating it too would
       // pay the redundancy cost twice.
-      if (conn.fec_covers(id, pn)) continue;
+      if (conn.fec_covers(id, rec.pn)) continue;
       const std::uint64_t bytes = conn.reinject_record(rec, mode_);
       if (bytes > 0) {
         ++stats_.records_reinjected;
@@ -91,7 +92,7 @@ void ReinjectionEngine::run(quic::Connection& conn) {
         XLINK_TRACE(conn.trace(),
                     telemetry::Event::reinjection(
                         now, conn.trace_origin(),
-                        static_cast<std::uint8_t>(id), bytes, pn));
+                        static_cast<std::uint8_t>(id), bytes, rec.pn));
       }
     }
   }

@@ -19,7 +19,7 @@ class RedundantScheduler final : public quic::Scheduler {
     if (!conn.send_queue().empty()) return;
     for (quic::PathId id : conn.path_ids()) {
       auto& p = conn.path_state(id);
-      for (auto& [pn, rec] : p.unacked) {
+      for (quic::SentRecord& rec : p.loss.unacked()) {
         if (rec.items.empty() || rec.reinjected || rec.is_reinjection)
           continue;
         const std::uint64_t bytes =
@@ -28,7 +28,7 @@ class RedundantScheduler final : public quic::Scheduler {
           XLINK_TRACE(conn.trace(),
                       telemetry::Event::reinjection(
                           conn.loop().now(), conn.trace_origin(),
-                          static_cast<std::uint8_t>(id), bytes, pn));
+                          static_cast<std::uint8_t>(id), bytes, rec.pn));
         }
       }
     }

@@ -143,7 +143,7 @@ void Connection::close(std::uint64_t error_code, const std::string& reason) {
 void Connection::send_close_frame(PathId path) {
   send_control_packet(
       path,
-      {Frame{ConnectionCloseFrame{close_info_.error_code, close_info_.reason}}},
+      Frame{ConnectionCloseFrame{close_info_.error_code, close_info_.reason}},
       /*count_inflight=*/false);
 }
 
@@ -268,22 +268,21 @@ void Connection::migrate_to_path(PathId id) {
   pump_send();
 }
 
-std::vector<PathId> Connection::path_ids() const {
-  std::vector<PathId> out;
-  out.reserve(paths_.size());
+PathList Connection::path_ids() const {
+  PathList out;
   for (const auto& [id, _] : paths_) out.push_back(id);
   return out;
 }
 
-std::vector<PathId> Connection::active_path_ids() const {
-  std::vector<PathId> out;
+PathList Connection::active_path_ids() const {
+  PathList out;
   for (const auto& [id, p] : paths_)
     if (p->state == PathState::State::kActive) out.push_back(id);
   return out;
 }
 
-std::vector<PathId> Connection::schedulable_path_ids() const {
-  std::vector<PathId> out;
+PathList Connection::schedulable_path_ids() const {
+  PathList out;
   for (const auto& [id, p] : paths_)
     if (p->schedulable()) out.push_back(id);
   return out;
@@ -519,7 +518,8 @@ void Connection::pump_send() {
       queue.clear();
       continue;
     }
-    std::vector<Frame> frames;
+    std::vector<Frame> frames = std::move(send_frames_scratch_);
+    frames.clear();
     std::size_t used = 0;
     bool suppressed = false;
     while (!queue.empty()) {
@@ -527,11 +527,11 @@ void Connection::pump_send() {
       if (used + sz > kMaxPacketPayload && !frames.empty()) {
         // A suppressed send (anti-amplification) re-queued the batch at the
         // head of this queue; stop flushing the path until budget returns.
-        if (!send_control_packet(path_id, std::move(frames), true)) {
+        if (!build_and_send(path_id, frames, {}, /*ack_eliciting=*/true)) {
           suppressed = true;
           break;
         }
-        frames = {};
+        frames.clear();
         used = 0;
       }
       frames.push_back(std::move(queue.front()));
@@ -539,7 +539,9 @@ void Connection::pump_send() {
       used += sz;
     }
     if (!suppressed && !frames.empty())
-      send_control_packet(path_id, std::move(frames), true);
+      build_and_send(path_id, frames, {}, /*ack_eliciting=*/true);
+    frames.clear();
+    send_frames_scratch_ = std::move(frames);
   }
 
   // Stream data, scheduler-driven.
@@ -627,7 +629,8 @@ bool Connection::send_one_packet(PathId path_id, bool ignore_cwnd) {
   // to a fresh vector rather than aliasing).
   std::vector<Frame> frames = std::move(send_frames_scratch_);
   frames.clear();
-  std::vector<SendItem> taken;
+  std::vector<SendItem> taken = std::move(send_items_scratch_);
+  taken.clear();
   std::size_t used = 0;
 
   while (!pkt_send_q_.empty()) {
@@ -704,25 +707,29 @@ bool Connection::send_one_packet(PathId path_id, bool ignore_cwnd) {
     if (used + 32 >= budget) break;  // packet effectively full
   }
 
-  if (taken.empty()) {
-    frames.clear();
-    send_frames_scratch_ = std::move(frames);
-    return false;
-  }
-  const bool sent = build_and_send(path_id, frames, std::move(taken),
-                                   /*ack_eliciting=*/true);
+  const bool sent =
+      !taken.empty() &&
+      build_and_send(path_id, frames, taken, /*ack_eliciting=*/true);
+  frames.clear();
+  send_frames_scratch_ = std::move(frames);
+  taken.clear();
+  send_items_scratch_ = std::move(taken);
+  return sent;
+}
+
+bool Connection::send_control_packet(PathId path_id, Frame frame,
+                                     bool count_inflight) {
+  std::vector<Frame> frames = std::move(send_frames_scratch_);
+  frames.clear();
+  frames.push_back(std::move(frame));
+  const bool sent = build_and_send(path_id, frames, {}, count_inflight);
   frames.clear();
   send_frames_scratch_ = std::move(frames);
   return sent;
 }
 
-bool Connection::send_control_packet(PathId path_id, std::vector<Frame> frames,
-                                     bool count_inflight) {
-  return build_and_send(path_id, frames, {}, count_inflight);
-}
-
 bool Connection::build_and_send(PathId path_id, std::vector<Frame>& frames,
-                                std::vector<SendItem> items,
+                                std::span<SendItem> items,
                                 bool ack_eliciting) {
   auto pit = paths_.find(path_id);
   if (pit == paths_.end() || !send_fn_) return false;
@@ -789,28 +796,23 @@ bool Connection::build_and_send(PathId path_id, std::vector<Frame>& frames,
                   [](const SendItem& i) { return i.is_reinjection; });
 
   if (eliciting || !items.empty()) {
-    SentRecord rec;
-    rec.pn = header.packet_number;
+    // The delivery-rate stamp sees bytes_in_flight from before this packet:
+    // the sampler re-anchors its clocks when it is still zero.
+    const std::size_t in_flight_before = path.loss.bytes_in_flight();
+    SentRecord& rec = path.loss.on_packet_sent(
+        header.packet_number, loop_.now(), wire.size(), eliciting);
+    rec.ledger_only = false;
     rec.path = path_id;
-    rec.sent_time = loop_.now();
-    rec.bytes = wire.size();
-    rec.ack_eliciting = eliciting;
     rec.is_reinjection = is_reinjection_pkt;
-    rec.items = std::move(items);
+    rec.items.assign(items.begin(), items.end());
     for (const Frame& f : frames)
       if (is_retransmittable_control(f)) rec.control.push_back(f);
     if (eliciting) {
-      // Delivery-rate stamp before loss detection sees the packet: the
-      // sampler re-anchors its clocks when bytes_in_flight is still zero.
       path.sampler.on_packet_sent(rec.rate_stamp, rec.sent_time,
-                                  path.loss.bytes_in_flight());
-    }
-    path.loss.on_packet_sent(rec.pn, rec.sent_time, rec.bytes, eliciting);
-    if (eliciting) {
+                                  in_flight_before);
       path.last_ack_eliciting_sent = rec.sent_time;
       path.cc->on_packet_sent(rec.bytes, rec.sent_time);
     }
-    path.unacked.emplace(rec.pn, std::move(rec));
   }
 
   // Pacing: every wire departure debits the token bucket (control and acks
@@ -883,7 +885,7 @@ void Connection::send_pending_acks() {
     AckMpFrame ack = take_ack(*p);
     const auto carrier = ack_carrier_path(id);
     if (!carrier) continue;
-    send_control_packet(*carrier, {Frame{std::move(ack)}},
+    send_control_packet(*carrier, Frame{std::move(ack)},
                         /*count_inflight=*/false);
   }
 }
@@ -1370,7 +1372,8 @@ void Connection::handle_ack_info(PathId acked_path, const AckInfo& info) {
     return;
   }
 
-  auto outcome = p.loss.on_ack_received(info, loop_.now(), p.rtt);
+  const LossDetection::AckOutcome& outcome =
+      p.loss.on_ack_received(info, loop_.now(), p.rtt);
   if (outcome.rtt_sample) {
     p.rtt.on_sample(*outcome.rtt_sample, info.ack_delay_us);
   }
@@ -1389,11 +1392,11 @@ void Connection::handle_ack_info(PathId acked_path, const AckInfo& info) {
       resurrect_path(p);
   }
 
-  for (PacketNumber pn : outcome.newly_acked) {
-    auto rit = p.unacked.find(pn);
-    if (rit == p.unacked.end()) continue;
-    SentRecord rec = std::move(rit->second);
-    p.unacked.erase(rit);
+  // A ledger-only record's payload travels elsewhere: its ack counts for
+  // the RTT sample and ack clock above, and for nothing below.
+  for (const SentRecord* acked : outcome.newly_acked) {
+    if (acked->ledger_only) continue;
+    const SentRecord& rec = *acked;
     for (const SendItem& item : rec.items) {
       auto it = send_streams_.find(item.stream_id);
       if (it == send_streams_.end()) continue;
@@ -1411,7 +1414,7 @@ void Connection::handle_ack_info(PathId acked_path, const AckInfo& info) {
       // rate-based controllers rebuild their model from these.
       const RateSample sample = p.sampler.on_ack(
           rec.rate_stamp, rec.bytes, rec.sent_time, loop_.now(),
-          pn == info.largest_acked() && outcome.rtt_sample
+          rec.pn == info.largest_acked() && outcome.rtt_sample
               ? *outcome.rtt_sample
               : 0,
           p.loss.bytes_in_flight());
@@ -1465,37 +1468,39 @@ void Connection::trace_cc_state(const PathState& p) {
 // ----------------------------------------------------------- loss handling
 
 void Connection::on_packets_lost(PathState& p,
-                                 const std::vector<LostPacket>& pns) {
+                                 const std::vector<LostPacket>& lost) {
+  // Ledger-only records left the ledger; nothing else counts their loss.
   sim::Time latest_sent = 0;
-  std::vector<SentRecord> lost_records;
-  for (const LostPacket& lp : pns) {
-    auto it = p.unacked.find(lp.pn);
-    if (it == p.unacked.end()) continue;
-    latest_sent = std::max(latest_sent, it->second.sent_time);
+  std::uint64_t lost_records = 0;
+  for (const LostPacket& lp : lost) {
+    const SentRecord& rec = *lp.record;
+    if (rec.ledger_only) continue;
+    latest_sent = std::max(latest_sent, rec.sent_time);
     XLINK_TRACE(config_.trace,
                 telemetry::Event::loss(
                     loop_.now(), trace_origin(),
-                    static_cast<std::uint8_t>(p.id), lp.pn, it->second.bytes,
+                    static_cast<std::uint8_t>(p.id), rec.pn, rec.bytes,
                     static_cast<std::uint8_t>(lp.reason)));
-    lost_records.push_back(std::move(it->second));
-    p.unacked.erase(it);
+    ++lost_records;
   }
-  if (lost_records.empty()) return;
-  p.packets_lost += lost_records.size();
-  stats_.packets_lost += lost_records.size();
+  if (lost_records == 0) return;
+  p.packets_lost += lost_records;
+  stats_.packets_lost += lost_records;
   // The sampler never counts lost bytes as delivered, but it must see them
   // so app-limited markers drain when a flight's tail dies instead of
   // being acked (BBR keeps cwnd; the model just stops growing).
-  for (const SentRecord& rec : lost_records)
-    if (rec.ack_eliciting) p.sampler.on_loss(rec.bytes);
+  for (const LostPacket& lp : lost)
+    if (!lp.record->ledger_only && lp.record->ack_eliciting)
+      p.sampler.on_loss(lp.record->bytes);
   p.cc->on_loss_event(latest_sent, loop_.now());
   update_pacing(p);
   trace_cc_state(p);
-  for (auto& rec : lost_records) requeue_record(std::move(rec));
+  for (const LostPacket& lp : lost)
+    if (!lp.record->ledger_only) requeue_record(*lp.record);
   if (config_.scheduler) config_.scheduler->on_loss(*this, p.id);
 }
 
-void Connection::requeue_record(SentRecord record) {
+void Connection::requeue_record(const SentRecord& record) {
   // Stream data: requeue the still-unacked subranges, front of their class.
   for (const SendItem& item : record.items) {
     auto* stream = send_stream(item.stream_id);
@@ -1522,23 +1527,30 @@ void Connection::requeue_record(SentRecord record) {
     }
   }
   // Control frames: path frames stay on their path, the rest go anywhere.
-  for (Frame& f : record.control) {
+  for (const Frame& f : record.control) {
     const bool path_bound = std::holds_alternative<PathChallengeFrame>(f) ||
                             std::holds_alternative<PathResponseFrame>(f);
     if (path_bound) {
       auto it = paths_.find(record.path);
       if (it != paths_.end() &&
           it->second->state != PathState::State::kAbandoned)
-        queue_control(record.path, std::move(f));
+        queue_control(record.path, f);
     } else {
-      queue_control(fastest_active_path(), std::move(f));
+      queue_control(fastest_active_path(), f);
     }
   }
 }
 
 void Connection::rescue_in_flight(PathState& p) {
-  auto rescued = std::exchange(p.unacked, {});
-  for (auto& [pn, rec] : rescued) requeue_record(std::move(rec));
+  // The records stay in the ledger: a late ACK for one still yields an RTT
+  // sample and proves the path alive, but its payload now travels on the
+  // other paths.
+  for (SentRecord& rec : p.loss.unacked()) {
+    requeue_record(rec);
+    rec.ledger_only = true;
+    rec.items.clear();
+    rec.control.clear();
+  }
 }
 
 void Connection::on_pto(PathState& p) {
@@ -1577,16 +1589,12 @@ void Connection::on_pto(PathState& p) {
   // materializes anything sendable, ping so the PTO clock advances.
   int probes = 0;
   bool queued_payload = false;
-  for (auto& [pn, rec] : p.unacked) {
+  for (const SentRecord& rec : p.loss.unacked()) {
     if (!rec.ack_eliciting) continue;
     if (probes >= 2) break;
     ++probes;
     queued_payload |= !rec.items.empty() || !rec.control.empty();
-    SentRecord copy;
-    copy.items = rec.items;
-    copy.control = rec.control;
-    copy.path = rec.path;
-    requeue_record(std::move(copy));
+    requeue_record(rec);
   }
   if (!queued_payload) queue_control(p.id, Frame{PingFrame{}});
   // Emit the probe now, bypassing the congestion window.
@@ -1655,7 +1663,7 @@ void Connection::probe_dead_path(PathState& p) {
   ++stats_.dead_path_probes;
   // Tracked ack-eliciting PING: the ack (carried on a surviving path, since
   // ACK_MP for this space travels anywhere) is the resurrection signal.
-  send_control_packet(p.id, {Frame{PingFrame{}}}, /*count_inflight=*/true);
+  send_control_packet(p.id, Frame{PingFrame{}}, /*count_inflight=*/true);
   p.probe_interval = std::min(p.probe_interval * 2, kProbeIntervalMax);
   p.next_probe_at = loop_.now() + p.probe_interval;
 }
@@ -1714,7 +1722,7 @@ void Connection::on_timer() {
       if (p->next_probe_at && p->next_probe_at <= now) probe_dead_path(*p);
       continue;
     }
-    const auto lost = p->loss.detect_losses(now, p->rtt);
+    const auto& lost = p->loss.detect_losses(now, p->rtt);
     if (!lost.empty()) on_packets_lost(*p, lost);
     if (p->loss.has_ack_eliciting_in_flight()) {
       if (p->last_ack_eliciting_sent + path_pto_interval(*p) <= now)

@@ -26,6 +26,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,22 +52,33 @@ namespace xlink::quic {
 
 enum class Role { kClient, kServer };
 
-/// Metadata of one sent packet kept until it is acked or lost; the per-path
-/// collection of these is the paper's unacked_q.
-struct SentRecord {
-  PacketNumber pn = 0;
-  PathId path = 0;
-  sim::Time sent_time = 0;
-  std::size_t bytes = 0;
-  bool ack_eliciting = false;
-  std::vector<SendItem> items;   // stream ranges carried
-  std::vector<Frame> control;    // retransmittable control frames carried
-  bool is_reinjection = false;   // this packet was itself a re-injection
-  bool reinjected = false;       // a duplicate of this packet was queued
-  sim::Time reinjected_at = 0;   // when that duplicate was queued
-  /// Delivery-rate stamp (draft-cheng): the path's delivered totals frozen
-  /// at send time, so the ack can reconstruct the rate over this flight.
-  RateStamp rate_stamp;
+/// Path ids in ascending order, held inline for up to kInline paths (the
+/// default connection-ID limit) and on the heap beyond, so listing a
+/// connection's paths on the per-packet path allocates nothing.
+class PathList {
+ public:
+  static constexpr std::size_t kInline = 8;
+
+  void push_back(PathId id) {
+    if (size_ < kInline) {
+      inline_[size_++] = id;
+      return;
+    }
+    if (size_ == kInline) spill_.assign(inline_.begin(), inline_.end());
+    spill_.push_back(id);
+    ++size_;
+  }
+  const PathId* begin() const {
+    return size_ <= kInline ? inline_.data() : spill_.data();
+  }
+  const PathId* end() const { return begin() + size_; }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+ private:
+  std::array<PathId, kInline> inline_{};
+  std::vector<PathId> spill_;
+  std::size_t size_ = 0;
 };
 
 /// Per-path transport state (public so schedulers can inspect and, for
@@ -95,8 +107,8 @@ struct PathState {
   DeliveryRateSampler sampler;
   /// Token-bucket pacer (inactive unless Config::pacing.enabled).
   Pacer pacer;
+  /// This path's sent packets (the paper's unacked_q) and their ledger.
   LossDetection loss;
-  std::map<PacketNumber, SentRecord> unacked;
   PacketNumber next_pn = 0;
   sim::Time last_ack_eliciting_sent = 0;
   sim::Time last_ack_received = 0;  // last time this path's data was acked
@@ -304,11 +316,11 @@ class Connection {
   /// PATH_RESPONSE). The harness wires FaultInjector::on_nat_rebind here.
   void rebind_path(PathId id);
 
-  std::vector<PathId> path_ids() const;
-  std::vector<PathId> active_path_ids() const;
+  PathList path_ids() const;
+  PathList active_path_ids() const;
   /// Active paths that are also healthy enough to schedule data on
   /// (excludes kProbing paths); what schedulers and the re-injector use.
-  std::vector<PathId> schedulable_path_ids() const;
+  PathList schedulable_path_ids() const;
   bool has_path(PathId id) const { return paths_.contains(id); }
   PathState& path_state(PathId id) { return *paths_.at(id); }
   const PathState& path_state(PathId id) const { return *paths_.at(id); }
@@ -422,19 +434,19 @@ class Connection {
 
   // Send-side machinery.
   bool send_one_packet(PathId path, bool ignore_cwnd = false);
-  bool send_control_packet(PathId path, std::vector<Frame> frames,
-                           bool count_inflight);
+  /// Sends `frame` alone in a packet built in the scratch frame list.
+  bool send_control_packet(PathId path, Frame frame, bool count_inflight);
   void send_pending_acks();
   /// ACK_MP for `p`'s receive ranges (carrying the client's QoE signal);
   /// clears the path's pending-ack state and counts the ack as sent.
   AckMpFrame take_ack(PathState& p);
   /// Seals `frames` into a pooled buffer and hands it to send_fn_. The
-  /// frame list is an lvalue ref so callers can reuse scratch storage.
+  /// frame and item lists are caller storage, so callers reuse scratch.
   /// Returns false when nothing went on the wire (unknown path, or the
   /// send was suppressed by the anti-amplification cap -- suppressed
   /// stream/control content is re-queued, never dropped).
   bool build_and_send(PathId path, std::vector<Frame>& frames,
-                      std::vector<SendItem> items, bool ack_eliciting);
+                      std::span<SendItem> items, bool ack_eliciting);
   std::optional<PathId> ack_carrier_path(PathId acked_path) const;
   PathId fastest_active_path() const;
 
@@ -456,9 +468,10 @@ class Connection {
   /// for controllers with no opinion) after CC state changes.
   void update_pacing(PathState& p);
   void trace_cc_state(const PathState& p);
-  void on_packets_lost(PathState& p, const std::vector<LostPacket>& pns);
-  void requeue_record(SentRecord record);
-  /// Empties p's unacked map, requeueing each record (requeue_record).
+  void on_packets_lost(PathState& p, const std::vector<LostPacket>& lost);
+  void requeue_record(const SentRecord& record);
+  /// Requeues the payload of every record p still carries (requeue_record)
+  /// and leaves the records in p's ledger only.
   void rescue_in_flight(PathState& p);
   void on_pto(PathState& p);
   void arm_timers();
@@ -557,6 +570,7 @@ class Connection {
   // out while in use (re-entrancy safe) and moved back with capacity kept.
   std::vector<Frame> recv_frames_scratch_;
   std::vector<Frame> send_frames_scratch_;
+  std::vector<SendItem> send_items_scratch_;
 
   // Forward erasure correction (both null unless config_.fec.enabled).
   std::unique_ptr<fec::FecFramer> fec_framer_;

@@ -100,21 +100,20 @@ std::size_t InvariantAuditor::tick(const Connection& conn) {
   ++ticks_;
   std::size_t ran = 0;
 
-  // 1. Per-path: bytes_in_flight must equal the sum of the ack-eliciting
-  //    sent records still tracked in unacked_q. Abandoned paths are skipped:
-  //    abandon rescues the records without clearing the loss ledger (the
-  //    path is never scheduled again, so the stale counter is inert).
+  // 1. Per-path: the incrementally kept bytes_in_flight must equal the
+  //    sum of the ack-eliciting records still in the path's sent-packet
+  //    queue. Abandoned paths are skipped: they are never scheduled again.
   for (const auto& [id, p] : conn.paths_) {
     if (p->state == PathState::State::kAbandoned) continue;
     std::uint64_t ledger = 0;
-    for (const auto& [pn, rec] : p->unacked)
+    for (const SentRecord& rec : p->loss.ledger())
       if (rec.ack_eliciting) ledger += rec.bytes;
     ++ran;
     if (ledger != p->loss.bytes_in_flight()) {
       AuditFailure f;
       f.check = "bytes_in_flight_ledger";
       f.detail = "path " + std::to_string(id) +
-                 ": unacked-record sum diverged from loss detection";
+                 ": sent-record sum diverged from bytes_in_flight";
       f.expected = ledger;
       f.actual = p->loss.bytes_in_flight();
       fail(conn, std::move(f));

@@ -6,9 +6,11 @@
 //   1. a sealed send -> link -> open round trip performs ZERO heap
 //      allocations once the buffer pool, ring queues and scratch vectors
 //      are warm;
-//   2. a full end-to-end session stays within a bounded allocation budget
-//      per packet (connection bookkeeping allocates, but it must not scale
-//      with payload bytes or regress silently);
+//   2. per-packet bookkeeping -- the sent-packet queue, acks, loss
+//      detection and the scheduler's path walks -- is allocation-free once
+//      warm, and a full end-to-end session stays within a small allocation
+//      budget per packet (what remains is per-ACK range lists and per-read
+//      vectors; it must not scale with payload bytes or regress silently);
 //   3. a long session's peak live heap stays bounded: stream memory
 //      follows the protocol windows, not the video's length.
 //
@@ -25,17 +27,20 @@
 #include <thread>
 #include <vector>
 
+#include "core/xlink_scheduler.h"
 #include "fec/framer.h"
 #include "harness/scenario.h"
 #include "net/link.h"
 #include "net/packet_buffer.h"
 #include "quic/delivery_rate.h"
 #include "quic/frame.h"
+#include "quic/loss_detection.h"
 #include "quic/pacer.h"
 #include "quic/packet.h"
 #include "quic/stream.h"
 #include "sim/event_loop.h"
 #include "sim/rng.h"
+#include "test_support.h"
 #include "trace/synthetic.h"
 
 namespace {
@@ -268,9 +273,9 @@ TEST(AllocGuard, WarmFecEncodeRecoverLoopIsAllocationFree) {
 
 /// End-to-end guard: a whole simulated session (handshake, video download,
 /// acks, retransmissions, telemetry off) must stay within a bounded number
-/// of allocations per packet. The bound is deliberately generous -- the
-/// connection's maps and queues do allocate -- but it fails loudly if a
-/// per-byte copy or per-packet vector sneaks back into the datapath.
+/// of allocations per packet. The bound leaves room for what still
+/// allocates (each ACK's range list, each read's vector, set-up) but fails
+/// loudly if a per-packet node or vector sneaks back into the datapath.
 TEST(AllocGuard, FullSessionAllocationsPerPacketAreBounded) {
   harness::SessionConfig cfg;
   cfg.scheme = core::Scheme::kXlink;
@@ -295,7 +300,7 @@ TEST(AllocGuard, FullSessionAllocationsPerPacketAreBounded) {
   ASSERT_GT(packets, 100u);
   const double per_packet =
       static_cast<double>(after - before) / static_cast<double>(packets);
-  EXPECT_LT(per_packet, 32.0)
+  EXPECT_LT(per_packet, 8.0)
       << "session made " << (after - before) << " allocations for " << packets
       << " packets (" << per_packet << "/packet)";
 }
@@ -430,9 +435,90 @@ TEST(AllocGuard, PacedBbrSessionAllocationsPerPacketAreBounded) {
   ASSERT_GT(packets, 100u);
   const double per_packet =
       static_cast<double>(after - before) / static_cast<double>(packets);
-  EXPECT_LT(per_packet, 32.0)
+  EXPECT_LT(per_packet, 8.0)
       << "paced BBR session made " << (after - before) << " allocations for "
       << packets << " packets (" << per_packet << "/packet)";
+}
+
+/// The per-packet control path once warm: packets tracked in the sent-packet
+/// queue, acked out of order, declared lost by both RFC 9002 rules, and a
+/// two-path pump through the XLINK scheduler, whose re-injection engine
+/// walks every path and unacked queue. Queue slots, outcome lists and path
+/// lists are all reused, so the cycle never touches the heap.
+TEST(AllocGuard, WarmSendAckLossCycleIsAllocationFree) {
+  quic::LossDetection ld;
+  quic::RttEstimator rtt;
+  rtt.on_sample(sim::millis(100), 0);
+  const std::vector<quic::SendItem> items(2);
+  quic::AckInfo upper;  // the newest pns first, then a middle block
+  upper.ranges.resize(2);
+  quic::AckInfo lower;  // an older block acked after newer ones
+  lower.ranges.resize(1);
+  quic::PacketNumber pn = 0;
+  sim::Time now = 0;
+  std::uint64_t lost_by_count = 0;
+  std::uint64_t lost_by_time = 0;
+  const auto cycle = [&] {
+    const quic::PacketNumber base = pn;
+    for (int i = 0; i < 16; ++i, now += sim::millis(1)) {
+      quic::SentRecord& rec = ld.on_packet_sent(pn++, now, 1200, true);
+      rec.ledger_only = false;
+      rec.items.assign(items.begin(), items.end());
+    }
+    lower.ranges[0] = {base + 5, base + 7};  // 0..4 fall by packet count
+    now += sim::millis(5);
+    for (const quic::LostPacket& l : ld.on_ack_received(lower, now, rtt).lost)
+      lost_by_count += l.reason == quic::LossReason::kPacketThreshold;
+    upper.ranges[0] = {base + 15, base + 15};
+    upper.ranges[1] = {base + 8, base + 12};
+    now += sim::millis(5);
+    ld.on_ack_received(upper, now, rtt);
+    now += sim::millis(150);  // 13 and 14 fall by time
+    for (const quic::LostPacket& l : ld.detect_losses(now, rtt))
+      lost_by_time += l.reason == quic::LossReason::kTimeThreshold;
+  };
+  for (int i = 0; i < 16; ++i) cycle();  // warm-up: ring and outcome storage
+  ASSERT_EQ(lost_by_count, 16u * 5u);
+  ASSERT_EQ(lost_by_time, 16u * 2u);
+
+  // Two paths under the XLINK scheduler with re-injection always allowed.
+  // The server's data goes out on both paths and nothing comes back, so
+  // every pump walks both unacked queues.
+  test::WirePair::Options opts;
+  opts.client_config = test::multipath_config();
+  opts.server_config = test::multipath_config();
+  opts.server_config.scheduler = core::make_xlink_scheduler(
+      {core::DoubleThresholdConfig{0, 0, core::ControlMode::kAlwaysOn},
+       quic::InsertMode::kPriority});
+  test::WirePair pair(std::move(opts));
+  ASSERT_TRUE(pair.establish());
+  pair.run_for(sim::millis(100));
+  ASSERT_TRUE(pair.client->open_path().has_value());
+  pair.run_for(sim::millis(100));
+  quic::Connection& server = *pair.server;
+  ASSERT_EQ(server.schedulable_path_ids().size(), 2u);
+  pair.drop_server_to_client = [](quic::PathId, const net::Datagram&) {
+    return true;
+  };
+  server.stream_send(0, std::vector<std::uint8_t>(16 * 1024, 0x5a), false);
+  for (int i = 0; i < 256; ++i) server.pump_send();  // warm-up
+  ASSERT_TRUE(server.send_queue().empty());
+  ASSERT_GT(server.path_state(0).loss.tracked_packets(), 0u);
+  ASSERT_GT(server.path_state(1).loss.tracked_packets(), 0u);
+  const std::uint64_t packets = server.stats().packets_sent;
+
+  const std::uint64_t before = alloc_count();
+  for (int i = 0; i < 16; ++i) cycle();
+  for (int i = 0; i < 256; ++i) server.pump_send();
+  const std::uint64_t after = alloc_count();
+
+  EXPECT_EQ(lost_by_count, 32u * 5u);
+  EXPECT_EQ(lost_by_time, 32u * 2u);
+  EXPECT_EQ(ld.tracked_packets(), 0u);
+  EXPECT_EQ(server.stats().packets_sent, packets);
+  EXPECT_EQ(after - before, 0u)
+      << "warm send/ack/loss cycle and pumps allocated " << (after - before)
+      << " times";
 }
 
 }  // namespace

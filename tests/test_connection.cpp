@@ -8,6 +8,7 @@
 #include <variant>
 #include <vector>
 
+#include "harness/hostile.h"
 #include "mpquic/schedulers.h"
 #include "quic/packet.h"
 #include "test_support.h"
@@ -24,6 +25,21 @@ WirePair::Options mp_options() {
   o.client_config.scheduler = mpquic::make_min_rtt_scheduler();
   o.server_config.scheduler = mpquic::make_min_rtt_scheduler();
   return o;
+}
+
+// Path lists live inline up to the default CID limit and spill to the heap
+// beyond it, so a connection with more paths still lists every one.
+TEST(PathList, KeepsOrderAcrossTheInlineLimit) {
+  PathList list;
+  std::vector<PathId> expected;
+  for (PathId id = 0; id < 3 * PathList::kInline; id += 1 + id % 2) {
+    list.push_back(id);
+    expected.push_back(id);
+    ASSERT_EQ(list.size(), expected.size());
+    EXPECT_EQ(std::vector<PathId>(list.begin(), list.end()), expected);
+  }
+  EXPECT_GT(list.size(), PathList::kInline);
+  EXPECT_TRUE(PathList{}.empty());
 }
 
 TEST(Connection, HandshakeEstablishesBothSides) {
@@ -294,6 +310,62 @@ TEST(Connection, AbandonPathRescuesInFlightData) {
   EXPECT_EQ(received, payload);
 }
 
+// An abandoned path's rescued packets stay in its ledger: a late ACK for
+// one still proves the path round-trips (RTT sample, PTO reset), but the
+// payload already travels elsewhere, so the ACK touches no stream, window
+// or loss count -- not even for the older records it declares lost.
+TEST(Connection, LateAckForRescuedPacketFeedsOnlyTheLedger) {
+  WirePair pair(mp_options());
+  ASSERT_TRUE(pair.establish());
+  pair.run_for(sim::millis(100));
+  ASSERT_TRUE(pair.client->open_path().has_value());
+  pair.run_for(sim::millis(100));
+  ASSERT_EQ(pair.server->active_path_ids().size(), 2u);
+
+  Connection& server = *pair.server;
+  PathState& p0 = server.path_state(0);
+  PathState& p1 = server.path_state(1);
+  for (int i = 0; i < 20; ++i) {
+    p0.rtt.on_sample(sim::millis(500), 0);
+    p1.rtt.on_sample(sim::millis(20), 0);
+  }
+  // Nothing the server sends from here on arrives.
+  pair.drop_server_to_client = [](PathId, const net::Datagram&) {
+    return true;
+  };
+  const PacketNumber first_data_pn = p1.next_pn;
+  const std::size_t len = 6000;
+  server.stream_send(0, test::pattern_bytes(len), false);
+  const PacketNumber largest = p1.next_pn - 1;
+  ASSERT_GE(largest, first_data_pn + kPacketThreshold);
+
+  server.abandon_path(1);
+  const std::size_t cwnd = p1.cc->cwnd_bytes();
+  const std::uint64_t lost = server.stats().packets_lost;
+  const std::uint64_t path_lost = p1.packets_lost;
+  const std::size_t in_flight = p1.loss.bytes_in_flight();
+  EXPECT_GT(in_flight, 0u);
+  p1.pto_count = 2;
+  pair.run_for(sim::millis(200));
+
+  AckMpFrame ack;
+  ack.path_id = 1;
+  ack.info.ranges = {AckRange{largest, largest}};
+  harness::HostilePeer peer(server);
+  peer.inject(0, {Frame{ack}});
+
+  EXPECT_FALSE(server.is_closed());
+  EXPECT_EQ(p1.pto_count, 0u);
+  EXPECT_EQ(p1.last_ack_received, pair.loop.now());
+  EXPECT_GE(p1.rtt.latest(), sim::millis(200));
+  EXPECT_LT(p1.loss.bytes_in_flight(), in_flight);
+  EXPECT_EQ(p1.cc->cwnd_bytes(), cwnd);
+  EXPECT_EQ(server.stats().packets_lost, lost);
+  EXPECT_EQ(p1.packets_lost, path_lost);
+  ASSERT_NE(server.send_stream(0), nullptr);
+  EXPECT_FALSE(server.send_stream(0)->range_acked(0, 1));
+}
+
 TEST(Connection, MigrationMovesTrafficAndResetsCwnd) {
   WirePair::Options o;  // single-path configs (CM is base QUIC)
   WirePair pair(std::move(o));
@@ -397,7 +469,8 @@ TEST(Connection, PathStatusStandbyHonoured) {
   pair.run_for(sim::millis(100));
   EXPECT_EQ(pair.server->path_state(1).state, PathState::State::kStandby);
   // Standby paths are excluded from active scheduling.
-  EXPECT_EQ(pair.server->active_path_ids(),
+  const PathList active = pair.server->active_path_ids();
+  EXPECT_EQ(std::vector<PathId>(active.begin(), active.end()),
             (std::vector<PathId>{0}));
 }
 

@@ -499,14 +499,12 @@ TEST(InvariantAuditor, CatchesSeededLedgerCorruption) {
         caught.push_back(f);
       });
 
-  // Seed the bug: a phantom sent-record the loss ledger never saw. The
-  // bytes_in_flight re-derivation must disagree with the incremental sum.
-  quic::SentRecord phantom;
-  phantom.pn = 999999;
-  phantom.path = 0;
-  phantom.bytes = 777;
+  // Seed the bug: a phantom sent-record the bytes_in_flight counter never
+  // saw (tracked as non-eliciting, then flipped). The re-derivation from
+  // the sent-packet queue must disagree with the incremental sum.
+  quic::SentRecord& phantom = server.path_state(0).loss.on_packet_sent(
+      999999, rig.pair->loop.now(), 777, /*ack_eliciting=*/false);
   phantom.ack_eliciting = true;
-  server.path_state(0).unacked.emplace(phantom.pn, std::move(phantom));
 
   server.audit_now();
   ASSERT_FALSE(caught.empty());
@@ -514,7 +512,7 @@ TEST(InvariantAuditor, CatchesSeededLedgerCorruption) {
   EXPECT_GE(server.auditor().failures(), 1u);
 
   // Un-seed so teardown audits (timer ticks) stay quiet.
-  server.path_state(0).unacked.erase(999999);
+  phantom.ack_eliciting = false;
   rig.expect_no_leaks();
 }
 

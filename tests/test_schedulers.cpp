@@ -166,7 +166,7 @@ TEST(ReinjectionEngine, DuplicatesUnackedFromSlowPathWhenQueueDrains) {
   server.stream_send(0, test::pattern_bytes(2000), false);
   fx.pair.run_for(sim::millis(1));
   quic::SentRecord* rec = nullptr;
-  for (auto& [pn, r] : p0.unacked)
+  for (quic::SentRecord& r : p0.loss.unacked())
     if (!r.items.empty()) rec = &r;
   ASSERT_NE(rec, nullptr);
   rec->reinjected = false;
