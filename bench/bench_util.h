@@ -10,15 +10,9 @@
 #include "harness/scenario.h"
 #include "stats/summary.h"
 #include "stats/table.h"
-#include "telemetry/json.h"
 #include "trace/trace.h"
 
 namespace xlink::bench {
-
-/// The one JSON writer for every bench output file. The same
-/// telemetry::JsonWriter also serializes qlog traces, so escaping rules
-/// stay in a single place instead of per-bench fprintf formats.
-using JsonWriter = telemetry::JsonWriter;
 
 /// `--trace-exemplar[=path]`: every session-running bench accepts this
 /// flag and, when present, records one exemplar session as a qlog trace

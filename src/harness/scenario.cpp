@@ -57,7 +57,6 @@ Session::Session(SessionConfig config) : config_(std::move(config)) {
                                              quic::Role::kClient,
                                              config_.options);
   client_cfg.trace = trace_.get();
-  client_cfg.health.enabled = config_.path_health;
   client_conn_ = std::make_unique<quic::Connection>(loop_,
                                                     std::move(client_cfg));
   auto server_cfg = core::make_scheme_config(config_.scheme,
@@ -66,7 +65,6 @@ Session::Session(SessionConfig config) : config_(std::move(config)) {
   if (config_.server_scheduler_override)
     server_cfg.scheduler = config_.server_scheduler_override;
   server_cfg.trace = trace_.get();
-  server_cfg.health.enabled = config_.path_health;
   server_conn_ = std::make_unique<quic::Connection>(loop_,
                                                     std::move(server_cfg));
 

@@ -56,12 +56,6 @@ struct SessionConfig {
   /// radio/interface bring-up cost on phones).
   sim::Duration secondary_path_delay = 0;
   std::uint64_t seed = 1;
-  /// Per-path health tracking + PTO-driven failover on both endpoints
-  /// (DESIGN.md §7). Off reproduces the pre-failover transport: the
-  /// blackout failover test in tests/test_faults.cpp uses it as its
-  /// no-failover baseline, and bench_perf's path_health_guard record
-  /// times a session both ways.
-  bool path_health = true;
   TraceConfig trace;
 };
 

@@ -43,8 +43,8 @@ std::array<std::uint8_t, 8> derive_challenge(PathId id) {
 constexpr int kMaxAckRanges = 32;
 constexpr int kAckElicitingThreshold = 2;
 
-/// Path health (PathState::Health, when Config::health.enabled): consecutive
-/// PTOs before a path is marked kDegraded.
+/// Path health (PathState::Health): consecutive PTOs before a path is
+/// marked kDegraded.
 constexpr std::uint32_t kDegradedAfterPtos = 1;
 /// Consecutive-PTO budget: at this count the path fails over to kProbing --
 /// if (and only if) another schedulable path survives.
@@ -498,13 +498,12 @@ std::uint64_t Connection::connection_send_window() const {
 void Connection::pump_send() {
   if (in_pump_ || closed_ || !send_fn_) return;
   in_pump_ = true;
-#if !defined(XLINK_AUDIT_DISABLED)
   // Subsampled: a full invariant walk every pump would dominate the hot
   // path; every 64th call keeps drift detection tight enough while staying
   // inside the <5% overhead budget (timer fires land here too -- on_timer
   // ends in pump_send).
-  if ((++audit_pump_calls_ & 63) == 0) XLINK_AUDIT_TICK(auditor_, *this);
-#endif
+  if ((++audit_pump_calls_ & 63) == 0 && auditor_.enabled())
+    auditor_.tick(*this);
 
   send_pending_acks();
 
@@ -554,7 +553,8 @@ void Connection::pump_send() {
     std::optional<PathId> path;
     if (config_.scheduler) {
       path = config_.scheduler->select_path(*this);
-      if (path) XLINK_AUDIT_SCHED(auditor_, *this, *path);
+      if (path && auditor_.enabled())
+        auditor_.check_scheduled_path(*this, *path);
     } else {
       // Single-path: the unique usable path, cwnd permitting.
       for (const auto& [id, p] : paths_) {
@@ -1388,8 +1388,7 @@ void Connection::handle_ack_info(PathId acked_path, const AckInfo& info) {
     p.pto_count = 0;
     p.last_ack_received = loop_.now();
     // Any fresh ack proves the path round-trips again: resurrect it.
-    if (config_.health.enabled && p.health != PathState::Health::kGood)
-      resurrect_path(p);
+    if (p.health != PathState::Health::kGood) resurrect_path(p);
   }
 
   // A ledger-only record's payload travels elsewhere: its ack counts for
@@ -1451,7 +1450,6 @@ void Connection::update_pacing(PathState& p) {
 }
 
 void Connection::trace_cc_state(const PathState& p) {
-#if !defined(XLINK_TELEMETRY_DISABLED)
   if (!config_.trace || !config_.trace->enabled()) return;
   const std::size_t ss = p.cc->ssthresh_bytes();
   config_.trace->record(telemetry::Event::cc_state(
@@ -1460,9 +1458,6 @@ void Connection::trace_cc_state(const PathState& p) {
       ss == static_cast<std::size_t>(-1) ? telemetry::kNoValue : ss,
       p.rtt.smoothed(), p.cc->in_slow_start(),
       p.pacer.enabled() ? p.pacer.rate_bytes_per_sec() : telemetry::kNoValue));
-#else
-  (void)p;
-#endif
 }
 
 // ----------------------------------------------------------- loss handling
@@ -1572,16 +1567,13 @@ void Connection::on_pto(PathState& p) {
   // over once the budget is spent -- but only if another schedulable path
   // can absorb the traffic; the last path keeps limping (kDegraded) with
   // its capped PTO probing, which is the graceful single-path mode.
-  if (config_.health.enabled) {
-    if (p.pto_count >= kFailoverPtoBudget &&
-        has_other_schedulable(p.id)) {
-      fail_over_path(p);
-      return;
-    }
-    if (p.health == PathState::Health::kGood &&
-        p.pto_count >= kDegradedAfterPtos)
-      set_path_health(p, PathState::Health::kDegraded);
+  if (p.pto_count >= kFailoverPtoBudget && has_other_schedulable(p.id)) {
+    fail_over_path(p);
+    return;
   }
+  if (p.health == PathState::Health::kGood &&
+      p.pto_count >= kDegradedAfterPtos)
+    set_path_health(p, PathState::Health::kDegraded);
 
   // Probe: retransmit the oldest unacked content (kept tracked;
   // stream-level ack state dedupes), including control frames -- a lost

@@ -191,15 +191,6 @@ class Connection {
     /// tracing; the hooks then cost one predictable branch each).
     telemetry::TraceSink* trace = nullptr;
 
-    /// Path-health failover machinery (PathState::Health; thresholds are
-    /// constants in connection.cpp). Disabled it reproduces the pre-failover
-    /// transport: PTOs keep probing in place and the scheduler alone steers
-    /// around dead paths.
-    struct PathHealth {
-      bool enabled = true;
-    };
-    PathHealth health;
-
     /// Forward erasure correction (src/fec/): sender-side REPAIR framing
     /// over sealed packets plus receiver-side recovery. `fec.enabled`
     /// instantiates the RecoveryBuffer; `fec.protect` additionally runs

@@ -124,7 +124,7 @@ std::size_t InvariantAuditor::tick(const Connection& conn) {
   // 2. Pooled-buffer balance on this thread, bracketed around a running
   //    floor. The counters are process-global: other components hold
   //    buffers across this auditor's lifetime and embedders reset the
-  //    counters at quiescent points (bench_perf, the leak tests), so
+  //    counters at quiescent points (the leak tests), so
   //    neither `releases <= acquires` nor any fixed baseline holds in
   //    general. What must hold is that the signed outstanding count
   //    (acquires - releases) stays within the debt budget of the lowest

@@ -11,10 +11,9 @@
 //    FEC/re-injection duplication -- never comes near a limit; only
 //    adversarial shapes (floods, bombs, sprays) trip them.
 //
-//  - InvariantAuditor: a cross-layer consistency walker gated like
-//    telemetry (cmake -DXLINK_AUDIT=OFF compiles every hook to ((void)0);
-//    the XLINK_AUDIT environment variable toggles it at runtime). Each tick
-//    it re-derives state the hot path maintains incrementally --
+//  - InvariantAuditor: a cross-layer consistency walker, always compiled
+//    in; the XLINK_AUDIT environment variable switches it off at run time.
+//    Each tick it re-derives state the hot path maintains incrementally --
 //    bytes_in_flight vs. the sent-packet ledger, pool acquire/release
 //    balance, flow-control monotonicity, FEC stash byte accounting -- and
 //    on the first mismatch renders a structured qlog dump and aborts (tests
@@ -132,9 +131,8 @@ struct AuditFailure {
   std::uint64_t actual = 0;
 };
 
-/// The auditor's runtime switch: true unless the XLINK_AUDIT environment
-/// variable is set to "0", "off" or "false". (The build-time switch,
-/// -DXLINK_AUDIT=OFF, compiles the hooks out; see the end of this file.)
+/// The auditor's one switch: true unless the XLINK_AUDIT environment
+/// variable is set to "0", "off" or "false".
 bool audit_enabled_by_env();
 
 /// Re-derives cross-layer invariants from first principles and compares
@@ -190,19 +188,3 @@ class InvariantAuditor {
 };
 
 }  // namespace xlink::quic
-
-// Audit hooks, gated exactly like XLINK_TRACE: a cmake -DXLINK_AUDIT=OFF
-// build defines XLINK_AUDIT_DISABLED and every hook compiles to ((void)0).
-#if defined(XLINK_AUDIT_DISABLED)
-#define XLINK_AUDIT_TICK(auditor, conn) ((void)0)
-#define XLINK_AUDIT_SCHED(auditor, conn, path) ((void)0)
-#else
-#define XLINK_AUDIT_TICK(auditor, conn) \
-  do {                                  \
-    if ((auditor).enabled()) (auditor).tick(conn); \
-  } while (0)
-#define XLINK_AUDIT_SCHED(auditor, conn, path) \
-  do {                                         \
-    if ((auditor).enabled()) (auditor).check_scheduled_path(conn, path); \
-  } while (0)
-#endif

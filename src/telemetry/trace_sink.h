@@ -3,15 +3,11 @@
 // A sink is a fixed-capacity ring buffer of telemetry::Event owned by one
 // session (nothing is shared across threads; the parallel engine gives
 // every session its own sink, matching the one-session-per-worker
-// ownership contract in harness/parallel.h). Recording is gated twice:
-//
-//  - compile time: building with -DXLINK_TELEMETRY=OFF defines
-//    XLINK_TELEMETRY_DISABLED and the XLINK_TRACE macro expands to
-//    nothing, so hot paths carry zero instrumentation cost;
-//  - run time: a sink pointer is nullptr unless tracing was requested for
-//    the session, and XLINK_TRACE evaluates its event expression only
-//    after the `sink && sink->enabled()` check passes, so a disabled
-//    build-in costs one predictable branch per hook.
+// ownership contract in harness/parallel.h). The hooks are always compiled
+// in, and recording is gated at run time: a sink pointer is nullptr unless
+// tracing was requested for the session, and XLINK_TRACE evaluates its
+// event expression only after the `sink && sink->enabled()` check passes,
+// so an untraced session pays one predictable branch per hook.
 //
 // When the ring wraps, the oldest events are dropped (dropped() reports
 // how many) — the tail of a session is the part stall forensics need.
@@ -79,13 +75,9 @@ class TraceSink {
 
 // Instrumentation hook. `sink` is a TraceSink* (may be nullptr); the event
 // expression is evaluated only when the sink exists and is enabled.
-#if defined(XLINK_TELEMETRY_DISABLED)
-#define XLINK_TRACE(sink, ...) ((void)0)
-#else
 #define XLINK_TRACE(sink, ...)                                        \
   do {                                                                \
     ::xlink::telemetry::TraceSink* xlink_trace_sink_ = (sink);        \
     if (xlink_trace_sink_ && xlink_trace_sink_->enabled())            \
       xlink_trace_sink_->record(__VA_ARGS__);                         \
   } while (0)
-#endif

@@ -21,6 +21,7 @@ using harness::HostilePeer;
 using quic::Connection;
 using quic::Frame;
 using quic::TransportError;
+using quic::ViolationKind;
 using test::WirePair;
 
 std::uint64_t code(TransportError e) { return static_cast<std::uint64_t>(e); }
@@ -58,17 +59,34 @@ struct AttackRig {
   std::vector<std::vector<std::uint8_t>> captured;
 };
 
-void expect_closed_with(AttackRig& rig, Connection& victim,
-                        TransportError err) {
+/// The victim closed on its own initiative, with error `err` (whose RFC
+/// 9000 §20.1 name is `err_name`) because the guard check for `kind`
+/// fired: several kinds share one error code, so the kind is read from
+/// the close reason, both locally and in the CONNECTION_CLOSE on the wire.
+void expect_guard_close(const Connection& victim, const HostilePeer& attacker,
+                        const std::vector<std::vector<std::uint8_t>>& captured,
+                        TransportError err, const char* err_name,
+                        ViolationKind kind) {
+  const std::string reason =
+      std::string("guard: ") + quic::violation_kind_name(kind);
   EXPECT_TRUE(victim.is_closed());
   EXPECT_EQ(victim.close_state(), Connection::CloseState::kClosing);
   EXPECT_FALSE(victim.close_info().peer_initiated);
   EXPECT_EQ(victim.close_info().error_code, code(err));
+  EXPECT_EQ(victim.close_info().reason, reason);
   // Graceful: a CONNECTION_CLOSE with that code actually went on the wire.
-  const auto close = rig.attacker->find_close(rig.captured);
+  const auto close = attacker.find_close(captured);
   ASSERT_TRUE(close.has_value());
   EXPECT_EQ(close->error_code, code(err));
+  EXPECT_STREQ(quic::transport_error_name(close->error_code), err_name);
+  EXPECT_EQ(close->reason, reason);
   EXPECT_GE(victim.guard_counters().violations, 1u);
+}
+
+void expect_closed_with(AttackRig& rig, Connection& victim,
+                        TransportError err, const char* err_name,
+                        ViolationKind kind) {
+  expect_guard_close(victim, *rig.attacker, rig.captured, err, err_name, kind);
 }
 
 // ---------------------------------------------------------------- attacks
@@ -86,7 +104,8 @@ TEST(HostilePeer, AckFloodClosesConnection) {
   for (int i = 0; i < 200 && !rig.pair->server->is_closed(); ++i)
     attacker.inject(0, {Frame{ack}});
 
-  expect_closed_with(rig, *rig.pair->server, TransportError::kProtocolViolation);
+  expect_closed_with(rig, *rig.pair->server, TransportError::kProtocolViolation,
+                     "PROTOCOL_VIOLATION", ViolationKind::kAckFlood);
   EXPECT_LE(rig.pair->server->guard_counters().ack_frames, 66u);
   rig.expect_no_leaks();
 }
@@ -100,7 +119,8 @@ TEST(HostilePeer, LyingAckRangeClosesConnection) {
   ack.info.ranges = {{100000, 100000}};  // far beyond anything ever sent
   attacker.inject(0, {Frame{ack}});
 
-  expect_closed_with(rig, *rig.pair->server, TransportError::kProtocolViolation);
+  expect_closed_with(rig, *rig.pair->server, TransportError::kProtocolViolation,
+                     "PROTOCOL_VIOLATION", ViolationKind::kLyingAck);
   EXPECT_NE(rig.pair->server->close_info().reason.find("lying_ack"),
             std::string::npos);
   rig.expect_no_leaks();
@@ -116,7 +136,8 @@ TEST(HostilePeer, StreamExhaustionClosesConnection) {
        id += 4)
     attacker.inject(0, {Frame{quic::StreamFrame{id, 0, {1}, false}}});
 
-  expect_closed_with(rig, *rig.pair->server, TransportError::kStreamLimitError);
+  expect_closed_with(rig, *rig.pair->server, TransportError::kStreamLimitError,
+                     "STREAM_LIMIT_ERROR", ViolationKind::kStreamLimit);
   // Bounded memory: at most the budgeted stream count ever existed.
   EXPECT_LE(rig.pair->server->guard_counters().peak_open_recv_streams, 64u);
   rig.expect_no_leaks();
@@ -139,7 +160,8 @@ TEST(HostilePeer, FinishedStreamsWithHolesCloseConnection) {
     ++streams;
   }
 
-  expect_closed_with(rig, server, TransportError::kStreamLimitError);
+  expect_closed_with(rig, server, TransportError::kStreamLimitError,
+                     "STREAM_LIMIT_ERROR", ViolationKind::kStreamLimit);
   // 64 retired streams leave 64 holes: the 65th id is one too many.
   EXPECT_EQ(streams, 65);
   EXPECT_EQ(server.guard_counters().peak_open_recv_streams, 1u);
@@ -176,7 +198,8 @@ TEST(HostilePeer, FabricatedStreamIdClosesConnection) {
 
   attacker.inject(0, {Frame{quic::StreamFrame{3, 0, {1}, false}}});
 
-  expect_closed_with(rig, *rig.pair->server, TransportError::kStreamStateError);
+  expect_closed_with(rig, *rig.pair->server, TransportError::kStreamStateError,
+                     "STREAM_STATE_ERROR", ViolationKind::kStreamIdInvalid);
   rig.expect_no_leaks();
 }
 
@@ -190,9 +213,12 @@ TEST(HostilePeer, StreamFlowControlOverrunClosesConnection) {
       rig.pair->options_.server_config.params.initial_max_stream_data;
   attacker.inject(0, {Frame{quic::StreamFrame{4, grant, {1}, false}}});
 
-  expect_closed_with(rig, *rig.pair->server, TransportError::kFlowControlError);
+  expect_closed_with(rig, *rig.pair->server, TransportError::kFlowControlError,
+                     "FLOW_CONTROL_ERROR", ViolationKind::kStreamFlowControl);
   const auto* s = rig.pair->server->recv_stream(4);
-  if (s != nullptr) EXPECT_EQ(s->readable_bytes(), 0u);
+  if (s != nullptr) {
+    EXPECT_EQ(s->readable_bytes(), 0u);
+  }
   rig.expect_no_leaks();
 }
 
@@ -209,7 +235,9 @@ TEST(HostilePeer, ConnectionFlowControlOverrunClosesConnection) {
   EXPECT_FALSE(rig.pair->server->is_closed());
   attacker.inject(0, {Frame{quic::StreamFrame{12, 100, {1}, false}}});
 
-  expect_closed_with(rig, *rig.pair->server, TransportError::kFlowControlError);
+  expect_closed_with(rig, *rig.pair->server, TransportError::kFlowControlError,
+                     "FLOW_CONTROL_ERROR",
+                     ViolationKind::kConnectionFlowControl);
   EXPECT_NE(rig.pair->server->close_info().reason.find("connection_flow"),
             std::string::npos);
   rig.expect_no_leaks();
@@ -223,7 +251,8 @@ TEST(HostilePeer, MovedFinalSizeClosesConnection) {
   EXPECT_FALSE(rig.pair->server->is_closed());
   attacker.inject(0, {Frame{quic::StreamFrame{4, 10, {3}, false}}});
 
-  expect_closed_with(rig, *rig.pair->server, TransportError::kFinalSizeError);
+  expect_closed_with(rig, *rig.pair->server, TransportError::kFinalSizeError,
+                     "FINAL_SIZE_ERROR", ViolationKind::kFinalSizeChanged);
   rig.expect_no_leaks();
 }
 
@@ -237,7 +266,8 @@ TEST(HostilePeer, RepairBombClosesConnection) {
   bomb.payload.assign(4096, 0xab);  // no legal symbol is this large
   attacker.inject(0, {Frame{std::move(bomb)}});
 
-  expect_closed_with(rig, *rig.pair->server, TransportError::kProtocolViolation);
+  expect_closed_with(rig, *rig.pair->server, TransportError::kProtocolViolation,
+                     "PROTOCOL_VIOLATION", ViolationKind::kRepairOversized);
   EXPECT_NE(rig.pair->server->close_info().reason.find("repair_oversized"),
             std::string::npos);
   rig.expect_no_leaks();
@@ -262,7 +292,8 @@ TEST(HostilePeer, RepairFloodClosesConnection) {
     attacker.inject(0, {Frame{r}});
   }
 
-  expect_closed_with(rig, *rig.pair->server, TransportError::kProtocolViolation);
+  expect_closed_with(rig, *rig.pair->server, TransportError::kProtocolViolation,
+                     "PROTOCOL_VIOLATION", ViolationKind::kRepairFlood);
   EXPECT_NE(rig.pair->server->close_info().reason.find("repair_flood"),
             std::string::npos);
   rig.expect_no_leaks();
@@ -284,7 +315,8 @@ TEST(HostilePeer, DatagramReplayFloodClosesConnection) {
       attacker.inject_wire(0, wire);
   }
 
-  expect_closed_with(rig, *rig.pair->server, TransportError::kProtocolViolation);
+  expect_closed_with(rig, *rig.pair->server, TransportError::kProtocolViolation,
+                     "PROTOCOL_VIOLATION", ViolationKind::kReplayFlood);
   EXPECT_GE(rig.pair->server->guard_counters().replayed_packets, 50u);
   rig.expect_no_leaks();
 }
@@ -299,7 +331,8 @@ TEST(HostilePeer, CidLimitOverrunClosesConnection) {
   attacker.inject(0, {Frame{f}});
 
   expect_closed_with(rig, *rig.pair->server,
-                     TransportError::kConnectionIdLimitError);
+                     TransportError::kConnectionIdLimitError,
+                     "CONNECTION_ID_LIMIT_ERROR", ViolationKind::kCidLimit);
   rig.expect_no_leaks();
 }
 
@@ -309,7 +342,8 @@ TEST(HostilePeer, HandshakeDoneAtServerClosesConnection) {
 
   attacker.inject(0, {Frame{quic::HandshakeDoneFrame{}}});
 
-  expect_closed_with(rig, *rig.pair->server, TransportError::kProtocolViolation);
+  expect_closed_with(rig, *rig.pair->server, TransportError::kProtocolViolation,
+                     "PROTOCOL_VIOLATION", ViolationKind::kFrameIllegalInState);
   rig.expect_no_leaks();
 }
 
@@ -333,13 +367,10 @@ TEST(HostilePeer, StreamDataBeforeHandshakeClosesConnection) {
         0, attacker.seal_initial(0, 0,
                                  {Frame{quic::StreamFrame{4, 0, {1}, false}}}));
 
-    EXPECT_TRUE(server.is_closed());
-    EXPECT_EQ(server.close_state(), Connection::CloseState::kClosing);
-    EXPECT_EQ(server.close_info().error_code,
-              code(TransportError::kProtocolViolation));
-    const auto close = attacker.find_close(captured);
-    ASSERT_TRUE(close.has_value());
-    EXPECT_EQ(close->error_code, code(TransportError::kProtocolViolation));
+    expect_guard_close(server, attacker, captured,
+                       TransportError::kProtocolViolation,
+                       "PROTOCOL_VIOLATION",
+                       ViolationKind::kFrameIllegalInState);
   }
   EXPECT_EQ(pool.counters().outstanding(), 0u);
 }

@@ -10,10 +10,11 @@
 //
 // --demo doubles as the subsystem's end-to-end smoke test (wired into
 // ctest): session -> TraceSink -> qlog file -> parser -> analyzer.
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "harness/scenario.h"
@@ -26,9 +27,21 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--window MS] <trace.qlog>\n"
-               "       %s --demo [out.qlog]\n",
+               "       %s --demo [out.qlog]\n"
+               "MS is a whole number of milliseconds from 1 to 3600000.\n",
                argv0, argv0);
   return 2;
+}
+
+/// The --window value: a whole number of milliseconds, 1 ms to one hour.
+/// Anything else (a sign, a suffix, an empty string) is rejected.
+std::optional<xlink::sim::Duration> parse_window(const char* text) {
+  const char* end = text + std::strlen(text);
+  std::uint64_t ms = 0;
+  const auto [stop, err] = std::from_chars(text, end, ms);
+  if (err != std::errc() || stop != end || ms < 1 || ms > 3'600'000)
+    return std::nullopt;
+  return xlink::sim::millis(ms);
 }
 
 // Runs a traced XLINK session over a subway cellular + onboard Wi-Fi
@@ -83,7 +96,9 @@ int main(int argc, char** argv) {
       demo = true;
     } else if (std::strcmp(arg, "--window") == 0) {
       if (i + 1 >= argc) return usage(argv[0]);
-      window = sim::millis(std::strtoull(argv[++i], nullptr, 10));
+      const auto parsed = parse_window(argv[++i]);
+      if (!parsed) return usage(argv[0]);
+      window = *parsed;
     } else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
       return usage(argv[0]);
     } else if (arg[0] == '-') {
