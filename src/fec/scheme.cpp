@@ -1,16 +1,10 @@
 #include "fec/scheme.h"
 
+#include <algorithm>
+
 #include "fec/gf256.h"
 
 namespace xlink::fec {
-
-namespace {
-
-void zero_fill(std::span<std::uint8_t> s) {
-  for (auto& b : s) b = 0;
-}
-
-}  // namespace
 
 // -------------------------------------------------------------- ReedSolomon
 
@@ -27,7 +21,7 @@ void ReedSolomon::encode(std::span<const std::span<const std::uint8_t>> sources,
                          std::span<const std::span<std::uint8_t>> repairs) {
   const std::size_t k = sources.size();
   for (std::size_t j = 0; j < repairs.size(); ++j) {
-    zero_fill(repairs[j]);
+    std::fill(repairs[j].begin(), repairs[j].end(), std::uint8_t{0});
     for (std::size_t i = 0; i < k; ++i) {
       gf_addmul(repairs[j], sources[i],
                 coefficient(k, static_cast<std::uint32_t>(j), i));
@@ -98,10 +92,15 @@ bool ReedSolomon::recover(std::span<SourceSymbol> sources,
     }
   }
 
+  // Each eliminated repair row now holds one missing symbol; symbols are
+  // equal-length, and a shorter row leaves the rest of the slot zero.
   for (std::size_t row = 0; row < m; ++row) {
     SourceSymbol& dst = sources[missing_idx[row]];
-    zero_fill(dst.data);
-    gf_addmul(dst.data, repairs[row].data, 1);
+    const std::span<const std::uint8_t> solved = repairs[row].data;
+    const std::size_t n = std::min(dst.data.size(), solved.size());
+    std::copy_n(solved.begin(), n, dst.data.begin());
+    std::fill(dst.data.begin() + static_cast<std::ptrdiff_t>(n), dst.data.end(),
+              std::uint8_t{0});
     dst.present = true;
   }
   return true;

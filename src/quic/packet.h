@@ -74,6 +74,9 @@ std::optional<PacketView> parse_packet_view(std::span<std::uint8_t> datagram);
 
 /// Decrypts a parsed packet in its receive buffer; returns the plaintext
 /// payload span (a prefix of pkt.ciphertext) or nullopt on auth failure.
+/// Either way the ciphertext is gone afterwards (a failed open leaves it
+/// scrambled), so a caller that still needs the sealed bytes copies them
+/// first.
 std::optional<std::span<const std::uint8_t>> open_packet_in_place(
     const PacketProtection& aead, const PacketView& pkt);
 

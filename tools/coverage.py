@@ -13,7 +13,8 @@ It runs gcov over every .gcda file the test run left in build-cov/, prints
 covered / instrumented lines for each instrumented file under src/ (a
 header's lines count once, covered if any translation unit ran them), and
 exits 1 when a file named in tools/coverage_floors.json is below its
-floor, in whole percent, or was never instrumented.
+floor, in whole percent, or was never instrumented, and when an
+instrumented file has no floor there (a new file must be given one).
 """
 import json
 import subprocess
@@ -74,7 +75,10 @@ def main():
         pct = 100.0 * hit / total
         floor = floors.get(name)
         mark = ""
-        if floor is not None and pct < floor:
+        if floor is None:
+            failed.append(name)
+            mark = "  NO FLOOR"
+        elif pct < floor:
             failed.append(name)
             mark = "  BELOW FLOOR"
         print(f"{name:44} {hit:6}/{total:<6} {pct:6.1f}% "
@@ -87,7 +91,8 @@ def main():
     print(f"{'src/ total':44} {hit:6}/{total:<6} "
           f"{100.0 * hit / max(total, 1):6.1f}%")
     if failed or missing:
-        fail(f"{len(failed) + len(missing)} file(s) below their floor")
+        fail(f"{len(failed) + len(missing)} file(s) below their floor or "
+             "without one")
 
 
 if __name__ == "__main__":
