@@ -108,8 +108,11 @@ int main(int argc, char** argv) {
                  bench::fmt(stats::improvement_pct(sp.mean(),
                                                    with_acc.mean()),
                             1)});
-  for (double p : {5.0, 25.0, 50.0, 75.0, 90.0, 92.0, 94.0, 96.0, 98.0, 99.0})
-    row("p" + stats::Table::fmt(p, 0), p);
+  for (double p : {5.0, 25.0, 50.0, 75.0, 90.0, 92.0, 94.0, 96.0, 98.0, 99.0}) {
+    std::string label = "p";
+    label += stats::Table::fmt(p, 0);
+    row(label, p);
+  }
   table.print();
   std::printf(
       "\nExpected shape: w/o acceleration degrades toward the tail (can go "

@@ -67,8 +67,8 @@ quic::Connection::Config make_scheme_config(Scheme scheme, quic::Role role,
       config.scheduler = make_xlink_scheduler(xc);
       config.ack_policy = opts.xlink_ack_policy;
       if (redundancy_has_fec(opts.xlink_redundancy)) {
-        // The video server is the protecting sender; the client only
-        // recovers. Both need fec.enabled so the receiver side exists.
+        // The video server is the protecting sender (FecFramer only); the
+        // client only recovers (RecoveryBuffer only).
         config.fec = opts.fec;
         config.fec.enabled = true;
         config.fec.protect = (role == quic::Role::kServer);

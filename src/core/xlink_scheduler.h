@@ -18,7 +18,8 @@ namespace xlink::core {
 
 /// Which redundancy mechanisms the scheduler drives. Both are gated by the
 /// same double-threshold QoE rule; the FEC arm additionally requires the
-/// connection to have been configured with `Config::fec.enabled`.
+/// connection to have been configured with `Config::fec.enabled` and
+/// `fec.protect`, which give it the FecFramer.
 enum class XlinkRedundancy : std::uint8_t {
   kNone,            // neither (ablation baseline)
   kReinject,        // reactive duplication only (paper default)

@@ -178,15 +178,16 @@ void RecoveryBuffer::commit(quic::PathId path, quic::PacketNumber pn,
   commit_to(recv(path), pn, now, false);
 }
 
-void RecoveryBuffer::drop_unconfirmed(quic::PathId path,
+bool RecoveryBuffer::drop_unconfirmed(quic::PathId path,
                                       quic::PacketNumber pn) {
   PathRecv& p = recv(path);
   StashEntry& e = p.stash[pn % kStash];
-  if (!e.valid || e.pn != pn || !e.rebuilt) return;
+  if (!e.valid || e.pn != pn || !e.rebuilt) return false;
   p.stash_bytes -= e.buf.size();
   e.valid = false;
   e.rebuilt = false;
   e.buf.reset();
+  return true;
 }
 
 void RecoveryBuffer::commit_to(PathRecv& p, quic::PacketNumber pn,

@@ -46,8 +46,9 @@ inline constexpr std::size_t kMaxSymbolBytes = 2048;
 
 struct FecConfig {
   bool enabled = false;
-  /// Sender-side protection; receivers keep only the RecoveryBuffer. The
-  /// harness enables this on the video server, not the client.
+  /// Selects the endpoint's half: the protecting sender runs only the
+  /// FecFramer, a receiver (protect = false) only the RecoveryBuffer. The
+  /// harness protects on the video server, not the client.
   bool protect = true;
   std::size_t window = 8;         // k: source packets per window
   std::size_t min_repairs = 1;    // r floor while the gate allows FEC
@@ -147,8 +148,8 @@ class RecoveryBuffer {
   /// on_datagram, which commits it again if it authenticates, and then
   /// calls this: if `pn` still holds the rebuilt bytes (they failed, e.g.
   /// a bogus repair symbol), the entry is dropped and `pn` is an erasure
-  /// again.
-  void drop_unconfirmed(quic::PathId path, quic::PacketNumber pn);
+  /// again. Returns whether it dropped the entry.
+  bool drop_unconfirmed(quic::PathId path, quic::PacketNumber pn);
 
   struct Recovered {
     net::PacketBuffer wire;  // full sealed datagram, ready for on_datagram

@@ -93,11 +93,13 @@ Connection::Connection(sim::EventLoop& loop, Config config)
   // Until the peer's params arrive, assume symmetric defaults (the true
   // values are applied in handle_crypto).
   peer_max_data_ = config_.params.initial_max_data;
-  if (config_.fec.enabled) {
+  // FEC: each endpoint builds only the half it uses. The protecting sender
+  // frames repair symbols; the receiver stashes datagrams to recover from.
+  if (config_.fec.enabled && config_.fec.protect) {
+    fec_framer_ = std::make_unique<fec::FecFramer>(config_.fec);
+  } else if (config_.fec.enabled) {
     fec_recovery_ = std::make_unique<fec::RecoveryBuffer>(config_.fec);
     fec_recovery_->set_trace(config_.trace, trace_origin());
-    if (config_.fec.protect)
-      fec_framer_ = std::make_unique<fec::FecFramer>(config_.fec);
     fec_recovered_scratch_.reserve(fec::kMaxRepairs);
   }
 }
@@ -1324,7 +1326,6 @@ void Connection::handle_repair_frame(PathId path_id, const RepairFrame& f) {
       fec_recovery_->on_repair(path_id, f, loop_.now(), fec_recovered_scratch_);
   stats_.fec_wasted_symbols += outcome.wasted;
   stats_.fec_erased_seen += outcome.erased_newly_seen;
-  stats_.fec_recovered_packets += outcome.recovered;
   if (outcome.wasted > 0) {
     XLINK_TRACE(config_.trace,
                 telemetry::Event::fec_wasted(
@@ -1338,14 +1339,16 @@ void Connection::handle_repair_frame(PathId path_id, const RepairFrame& f) {
   std::vector<fec::RecoveryBuffer::Recovered> recovered =
       std::move(fec_recovered_scratch_);
   for (auto& rec : recovered) {
+    on_datagram(path_id, std::move(rec.wire));
+    // A rebuilt datagram that failed to authenticate leaves the stash and
+    // is no recovery: only the ones that did are counted and traced.
+    if (fec_recovery_->drop_unconfirmed(path_id, rec.pn)) continue;
+    ++stats_.fec_recovered_packets;
     XLINK_TRACE(config_.trace,
                 telemetry::Event::fec_recovered(
                     loop_.now(), trace_origin(),
                     static_cast<std::uint8_t>(path_id), rec.pn, rec.window_id,
                     rec.latency_us));
-    on_datagram(path_id, std::move(rec.wire));
-    // A rebuilt datagram that failed to authenticate leaves the stash.
-    fec_recovery_->drop_unconfirmed(path_id, rec.pn);
   }
   recovered.clear();
   fec_recovered_scratch_ = std::move(recovered);
@@ -1689,11 +1692,13 @@ void Connection::arm_timers() {
         !p->pacer.can_send(loop_.now()))
       consider(p->pacer.next_release_time(loop_.now()));
   }
-  if (timer_id_) {
-    loop_.cancel(timer_id_);
-    timer_id_ = 0;
+  if (!earliest || closed_) {
+    if (timer_id_) {
+      loop_.cancel(timer_id_);
+      timer_id_ = 0;
+    }
+    return;
   }
-  if (!earliest || closed_) return;
   // Floor 1ms ahead: a deadline that is already due is handled by the
   // pump/timer pass that follows, and scheduling at `now` could otherwise
   // re-fire within the same instant indefinitely. Pacer releases need
@@ -1703,6 +1708,9 @@ void Connection::arm_timers() {
   if (config_.pacing.enabled && *earliest > loop_.now())
     floor = loop_.now() + 1;
   const sim::Time at = std::max(*earliest, floor);
+  // RFC 9002 Appendix A's SetLossDetectionTimer: the one timer moves in
+  // place; it is only scheduled anew once it has fired or been cancelled.
+  if (timer_id_ && loop_.reschedule(timer_id_, at)) return;
   timer_id_ = loop_.schedule_at(at, [this] {
     timer_id_ = 0;
     on_timer();

@@ -192,9 +192,9 @@ class Connection {
     telemetry::TraceSink* trace = nullptr;
 
     /// Forward erasure correction (src/fec/): sender-side REPAIR framing
-    /// over sealed packets plus receiver-side recovery. `fec.enabled`
-    /// instantiates the RecoveryBuffer; `fec.protect` additionally runs
-    /// the FecFramer on this endpoint's outgoing packets.
+    /// over sealed packets, or receiver-side recovery. With `fec.enabled`,
+    /// `fec.protect` runs the FecFramer on this endpoint's outgoing
+    /// packets; otherwise the endpoint keeps the RecoveryBuffer.
     fec::FecConfig fec;
 
     /// Hostile-peer hardening: per-connection resource budgets consulted
@@ -379,8 +379,6 @@ class Connection {
   void pump_send();
 
   // ---- forward erasure correction ------------------------------------
-  bool fec_enabled() const { return fec_recovery_ != nullptr; }
-  bool fec_protecting() const { return fec_framer_ != nullptr; }
   /// Double-threshold gate push-down: the XLINK scheduler forwards its
   /// re-injection gate decision so FEC obeys the same cost control.
   void set_fec_gate(bool allowed) {
@@ -563,7 +561,7 @@ class Connection {
   std::vector<Frame> send_frames_scratch_;
   std::vector<SendItem> send_items_scratch_;
 
-  // Forward erasure correction (both null unless config_.fec.enabled).
+  // Forward erasure correction: at most one is set (see Config::fec).
   std::unique_ptr<fec::FecFramer> fec_framer_;
   std::unique_ptr<fec::RecoveryBuffer> fec_recovery_;
   std::vector<Frame> fec_frames_scratch_;   // repair frames from the framer

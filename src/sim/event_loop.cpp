@@ -15,93 +15,91 @@ EventId EventLoop::schedule_at(Time at, Callback cb) {
   }
   Slot& s = slots_[slot];
   s.cb = std::move(cb);
-  s.live = true;
-  ++live_;
-  const EventId id = make_id(slot, s.generation);
-  heap_.push_back(Entry{std::max(at, now_), next_seq_++, id});
-  std::push_heap(heap_.begin(), heap_.end(), FiresAfter{});
-  return id;
+  heap_.push_back(Entry{std::max(at, now_), next_seq_++, slot});
+  sift(heap_.size() - 1);
+  return make_id(slot, s.generation);
 }
 
 bool EventLoop::cancel(EventId id) {
   if (!is_live(id)) return false;
-  release(slot_of(id));
-  ++dead_in_heap_;  // the heap entry stays behind until popped or compacted
-  maybe_compact();
+  const std::uint32_t slot = slot_of(id);
+  remove_at(slots_[slot].heap_index);
+  release(slot);
+  return true;
+}
+
+bool EventLoop::reschedule(EventId id, Time at) {
+  if (!is_live(id)) return false;
+  // A fresh seq, as cancel + schedule_at would take: the moved event fires
+  // after everything already scheduled for its new time.
+  const std::size_t i = slots_[slot_of(id)].heap_index;
+  heap_[i].at = std::max(at, now_);
+  heap_[i].seq = next_seq_++;
+  sift(i);
   return true;
 }
 
 void EventLoop::release(std::uint32_t slot) {
   Slot& s = slots_[slot];
   s.cb.reset();
-  s.live = false;
   if (++s.generation == 0) s.generation = 1;  // keep ids nonzero on wrap
   s.next_free = free_head_;
   free_head_ = slot;
-  --live_;
 }
 
-bool EventLoop::pop_next(Entry& out) {
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), FiresAfter{});
-    const Entry e = heap_.back();
-    heap_.pop_back();
-    if (!is_live(e.id)) {  // cancelled: skip lazily-deleted entry
-      --dead_in_heap_;
-      continue;
-    }
-    out = e;
-    return true;
+void EventLoop::place(std::size_t i, const Entry& e) {
+  heap_[i] = e;
+  slots_[e.slot].heap_index = static_cast<std::uint32_t>(i);
+}
+
+void EventLoop::sift(std::size_t i) {
+  const Entry e = heap_[i];
+  while (i > 0 && earlier(e, heap_[(i - 1) / 2])) {
+    place(i, heap_[(i - 1) / 2]);
+    i = (i - 1) / 2;
   }
-  return false;
-}
-
-void EventLoop::run() {
-  stopped_ = false;
-  Entry e;
-  while (!stopped_ && pop_next(e)) {
-    now_ = e.at;
-    fire(e.id);
+  // An entry that moved up is already earlier than its new children, so
+  // this loop stops at once for it.
+  for (std::size_t c = 2 * i + 1; c < heap_.size(); c = 2 * i + 1) {
+    if (c + 1 < heap_.size() && earlier(heap_[c + 1], heap_[c])) ++c;
+    if (!earlier(heap_[c], e)) break;
+    place(i, heap_[c]);
+    i = c;
   }
+  place(i, e);
 }
 
-void EventLoop::run_until(Time deadline) {
-  stopped_ = false;
-  while (!stopped_) {
-    Entry e;
-    if (!pop_next(e)) break;
-    if (e.at > deadline) {
-      // Not due yet: re-queue with the original sequence number so that the
-      // FIFO order among same-timestamp events is preserved.
-      heap_.push_back(e);
-      std::push_heap(heap_.begin(), heap_.end(), FiresAfter{});
-      break;
-    }
-    now_ = e.at;
-    fire(e.id);
-  }
-  now_ = std::max(now_, deadline);
+void EventLoop::remove_at(std::size_t i) {
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) return;  // it was the last entry
+  heap_[i] = last;
+  sift(i);
 }
 
-void EventLoop::fire(EventId id) {
-  const std::uint32_t slot = slot_of(id);
+void EventLoop::fire_next() {
+  const Entry e = heap_.front();
+  remove_at(0);
+  now_ = e.at;
   // Move the callback out and free the slot first, so the callback can
   // schedule new events (possibly reusing this very slot) and cancelling
   // the fired id from inside the callback is a no-op.
-  EventCallback cb = std::move(slots_[slot].cb);
-  release(slot);
+  EventCallback cb = std::move(slots_[e.slot].cb);
+  release(e.slot);
   ++fired_;
   cb();
 }
 
-void EventLoop::compact() {
-  std::erase_if(heap_, [this](const Entry& e) { return !is_live(e.id); });
-  std::make_heap(heap_.begin(), heap_.end(), FiresAfter{});
-  dead_in_heap_ = 0;
+void EventLoop::run() {
+  stopped_ = false;
+  while (!stopped_ && !heap_.empty()) fire_next();
 }
 
-void EventLoop::maybe_compact() {
-  if (dead_in_heap_ >= 64 && dead_in_heap_ * 2 >= heap_.size()) compact();
+void EventLoop::run_until(Time deadline) {
+  stopped_ = false;
+  while (!stopped_ && !heap_.empty() && heap_.front().at <= deadline)
+    fire_next();
+  now_ = std::max(now_, deadline);
 }
 
 }  // namespace xlink::sim

@@ -3,15 +3,16 @@
 // Events are (time, callback) pairs kept in a binary min-heap. Events that
 // share a timestamp fire in FIFO order of scheduling, which makes runs
 // deterministic given deterministic inputs. Scheduled events can be
-// cancelled through the returned handle.
+// cancelled or moved to a new time through the returned handle.
 //
 // Hot-path layout: callbacks live in a slab of generation-tagged slots
 // reached directly by index (no hash lookup), an EventId encodes
 // (generation << 32 | slot) so stale handles are rejected for free, and
 // small callables are stored inline in the slot (no per-event heap
-// allocation). Cancellation is lazy — the heap entry stays behind and is
-// skipped when popped — with periodic compaction once dead entries
-// dominate, so schedule/cancel churn cannot grow the heap without bound.
+// allocation). The heap is indexed: each slot records where its entry
+// sits, so cancel() removes the entry at once and reschedule() moves it in
+// place. The heap holds exactly the pending events, so schedule/cancel or
+// re-arm churn never grows it.
 #pragma once
 
 #include <cstddef>
@@ -138,6 +139,12 @@ class EventLoop {
   /// harmless no-op (returns false).
   bool cancel(EventId id);
 
+  /// Moves a pending event to absolute time `at` (clamped to >= now),
+  /// keeping its id and callback. It then fires exactly as if it had been
+  /// cancelled and scheduled anew: after every event already scheduled for
+  /// the same time. An already-fired or unknown id is a no-op (false).
+  bool reschedule(EventId id, Time at);
+
   /// Runs events until the queue is empty or `stop()` is called.
   void run();
 
@@ -151,37 +158,24 @@ class EventLoop {
   std::uint64_t events_fired() const { return fired_; }
 
   /// Number of events still pending (scheduled and not cancelled).
-  std::size_t pending() const { return live_; }
-
-  /// Heap entries including lazily-cancelled ones awaiting compaction
-  /// (exposed so tests can assert churn stays bounded).
-  std::size_t queue_entries() const { return heap_.size(); }
-
-  /// Drops cancelled entries from the heap immediately. Called
-  /// automatically once dead entries dominate; public for tests and for
-  /// callers that know they just cancelled en masse.
-  void compact();
+  std::size_t pending() const { return heap_.size(); }
 
  private:
   struct Entry {
     Time at;
     std::uint64_t seq;  // tie-break: FIFO for equal timestamps
-    EventId id;
+    std::uint32_t slot;
   };
-  // std::push_heap keeps the "largest" element first; we want the
-  // earliest (time, seq), so "a < b" means "a fires after b".
-  struct FiresAfter {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
+  // Every entry has its own seq, so this is a strict total order.
+  static bool earlier(const Entry& a, const Entry& b) {
+    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+  }
 
   struct Slot {
     EventCallback cb;
     std::uint32_t generation = 1;  // bumped on release; never 0
+    std::uint32_t heap_index = 0;  // where its entry sits while pending
     std::uint32_t next_free = kNilSlot;
-    bool live = false;
   };
   static constexpr std::uint32_t kNilSlot = 0xffffffffu;
 
@@ -195,19 +189,25 @@ class EventLoop {
     return static_cast<std::uint32_t>(id >> 32);
   }
 
+  // Pending iff the generation is current and the slot's heap entry points
+  // back at it (a free slot has no entry, whatever its heap_index says).
   bool is_live(EventId id) const {
     const std::uint32_t slot = slot_of(id);
-    return slot < slots_.size() && slots_[slot].live &&
-           slots_[slot].generation == generation_of(id);
+    if (slot >= slots_.size() || slots_[slot].generation != generation_of(id))
+      return false;
+    const std::uint32_t i = slots_[slot].heap_index;
+    return i < heap_.size() && heap_[i].slot == slot;
   }
 
   // Returns the slot to the free list and invalidates outstanding ids.
   void release(std::uint32_t slot);
-
-  // Pops the next live (non-cancelled) entry; returns false if none remain.
-  bool pop_next(Entry& out);
-  void fire(EventId id);
-  void maybe_compact();
+  // Writes `e` at heap index `i` and records that index in its slot.
+  void place(std::size_t i, const Entry& e);
+  // Moves the entry at `i` up or down until the heap is ordered again.
+  void sift(std::size_t i);
+  void remove_at(std::size_t i);
+  // Removes the earliest entry, advances now() to it and runs it.
+  void fire_next();
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
@@ -216,8 +216,6 @@ class EventLoop {
   std::vector<Entry> heap_;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNilSlot;
-  std::size_t live_ = 0;
-  std::size_t dead_in_heap_ = 0;
 };
 
 }  // namespace xlink::sim

@@ -589,7 +589,8 @@ TEST(FecConnection, RebuiltDatagramFailingAuthenticationLeavesTheStash) {
   ASSERT_TRUE(corrupted);
   const auto& stats = pair.client->stats();
   EXPECT_EQ(stats.auth_failures, 1u);  // the rebuilt-from-bogus pn 21
-  EXPECT_EQ(stats.fec_recovered_packets, 2u);
+  // Only the rebuild that authenticated counts as a recovery.
+  EXPECT_EQ(stats.fec_recovered_packets, 1u);
   EXPECT_EQ(stats.fec_erased_seen, 2u);
   EXPECT_EQ(pair.client->consume_stream(id, 1 << 20), payload);
 }

@@ -467,7 +467,8 @@ TEST(GridShard, ConcurrentClaimsNeverDoubleAssign) {
   spec.name = "claim-race";
   for (int i = 0; i < 64; ++i) {
     GridCell cell;
-    cell.label = "c" + std::to_string(i);
+    cell.label = "c";
+    cell.label += std::to_string(i);
     cell.pop = tiny_pop();
     cell.day_seed = 9000 + static_cast<std::uint64_t>(i);
     spec.cells.push_back(cell);

@@ -5,6 +5,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/event_loop.h"
@@ -136,18 +137,21 @@ TEST(EventLoop, StaleIdStaysDeadAfterSlotReuse) {
 }
 
 TEST(EventLoop, CompactDropsCancelledHeapEntries) {
+  // Cancelling removes the heap entry at once: nothing is left to compact,
+  // and the survivors still fire in time order.
   EventLoop loop;
   std::vector<EventId> ids;
-  int fired = 0;
+  std::vector<Time> fired;
   for (int i = 0; i < 100; ++i)
-    ids.push_back(loop.schedule_at(static_cast<Time>(i + 1),
-                                   [&fired] { ++fired; }));
+    ids.push_back(loop.schedule_at(static_cast<Time>(i + 1), [&] {
+      fired.push_back(loop.now());
+    }));
   for (std::size_t i = 1; i < ids.size(); i += 2) loop.cancel(ids[i]);
-  loop.compact();
-  EXPECT_EQ(loop.queue_entries(), 50u);
   EXPECT_EQ(loop.pending(), 50u);
   loop.run();
-  EXPECT_EQ(fired, 50);
+  ASSERT_EQ(fired.size(), 50u);
+  for (std::size_t i = 0; i < fired.size(); ++i)
+    EXPECT_EQ(fired[i], static_cast<Time>(2 * i + 1));
 }
 
 TEST(EventLoop, ScheduleCancelChurnStaysBounded) {
@@ -158,11 +162,104 @@ TEST(EventLoop, ScheduleCancelChurnStaysBounded) {
     const EventId id =
         loop.schedule_at(static_cast<Time>(i % 1000 + 10), [] {});
     loop.cancel(id);
+    ASSERT_EQ(loop.pending(), 0u);
   }
-  EXPECT_EQ(loop.pending(), 0u);
-  EXPECT_LT(loop.queue_entries(), 1024u);  // auto-compaction kept it small
   loop.run();
   EXPECT_EQ(loop.events_fired(), 0u);
+}
+
+TEST(EventLoop, RescheduleChurnKeepsOneEntry) {
+  // The connection's re-arm pattern: one timer moved on every pump.
+  EventLoop loop;
+  int fired = 0;
+  const EventId id = loop.schedule_at(10, [&fired] { ++fired; });
+  for (int i = 0; i < 1'000'000; ++i) {
+    ASSERT_TRUE(loop.reschedule(id, static_cast<Time>(i % 1000 + 10)));
+    ASSERT_EQ(loop.pending(), 1u);
+  }
+  loop.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(loop.now(), 1009u);  // the last time it was moved to
+}
+
+TEST(EventLoop, RescheduleToLaterEarlierAndSameTime) {
+  EventLoop loop;
+  std::vector<char> order;
+  const EventId a = loop.schedule_at(10, [&] { order.push_back('a'); });
+  const EventId b = loop.schedule_at(20, [&] { order.push_back('b'); });
+  const EventId c = loop.schedule_at(30, [&] { order.push_back('c'); });
+  EXPECT_TRUE(loop.reschedule(a, 40));  // later: after c
+  EXPECT_TRUE(loop.reschedule(c, 5));   // earlier: first
+  EXPECT_TRUE(loop.reschedule(b, 20));  // same time: stays put
+  loop.run();
+  EXPECT_EQ(order, (std::vector<char>{'c', 'b', 'a'}));
+  EXPECT_EQ(loop.now(), 40u);
+}
+
+TEST(EventLoop, RescheduleKeepsTheIdAndCallback) {
+  EventLoop loop;
+  int fired = 0;
+  const EventId id = loop.schedule_at(10, [&fired] { ++fired; });
+  EXPECT_TRUE(loop.reschedule(id, 50));
+  loop.run_until(40);
+  EXPECT_EQ(fired, 0);
+  EXPECT_TRUE(loop.reschedule(id, 60));  // the same handle still names it
+  loop.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(loop.now(), 60u);
+  EXPECT_FALSE(loop.cancel(id));
+}
+
+TEST(EventLoop, RescheduledEventQueuesBehindEqualTimesScheduledBefore) {
+  // FIFO among equal timestamps counts from the reschedule, exactly as
+  // cancel + schedule_at would: b was scheduled for 20 before a moved
+  // there, c after.
+  EventLoop loop;
+  std::vector<char> order;
+  const EventId a = loop.schedule_at(10, [&] { order.push_back('a'); });
+  loop.schedule_at(20, [&] { order.push_back('b'); });
+  EXPECT_TRUE(loop.reschedule(a, 20));
+  loop.schedule_at(20, [&] { order.push_back('c'); });
+  loop.run();
+  EXPECT_EQ(order, (std::vector<char>{'b', 'a', 'c'}));
+}
+
+TEST(EventLoop, RescheduleOfStaleOrFiredIdReturnsFalse) {
+  EventLoop loop;
+  bool b_fired = false;
+  const EventId a = loop.schedule_at(10, [] {});
+  EXPECT_TRUE(loop.cancel(a));
+  EXPECT_FALSE(loop.reschedule(a, 20));  // cancelled
+  // The slot is reused: the stale handle must not move the new event.
+  const EventId b = loop.schedule_at(30, [&] { b_fired = true; });
+  EXPECT_FALSE(loop.reschedule(a, 5));
+  EXPECT_FALSE(loop.reschedule(12345, 5));  // never issued
+  loop.run();
+  EXPECT_TRUE(b_fired);
+  EXPECT_EQ(loop.now(), 30u);
+  EXPECT_FALSE(loop.reschedule(b, 40));  // fired
+  EXPECT_EQ(loop.pending(), 0u);
+}
+
+TEST(EventLoop, RescheduleFromInsideACallback) {
+  EventLoop loop;
+  std::vector<std::pair<char, Time>> fired;
+  EventId self = 0;
+  const EventId later = loop.schedule_at(
+      100, [&] { fired.emplace_back('l', loop.now()); });
+  const EventId past = loop.schedule_at(
+      200, [&] { fired.emplace_back('p', loop.now()); });
+  bool self_moved = true;
+  self = loop.schedule_at(10, [&] {
+    fired.emplace_back('s', loop.now());
+    self_moved = loop.reschedule(self, 50);  // already fired: no-op
+    loop.reschedule(later, loop.now() + 5);
+    loop.reschedule(past, 3);  // before now: clamps to now
+  });
+  loop.run();
+  EXPECT_FALSE(self_moved);
+  EXPECT_EQ(fired, (std::vector<std::pair<char, Time>>{
+                       {'s', 10}, {'p', 10}, {'l', 15}}));
 }
 
 TEST(EventLoop, LargeCapturesFallBackToHeapCorrectly) {
