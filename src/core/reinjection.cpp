@@ -21,7 +21,7 @@ std::pair<int, int> record_class(const quic::SentRecord& rec) {
 
 }  // namespace
 
-void ReinjectionEngine::run(quic::Connection& conn) {
+void reinject(quic::Connection& conn, quic::InsertMode mode) {
   const quic::PathList schedulable = conn.schedulable_path_ids();
   if (schedulable.size() < 2) return;
   const sim::Time now = conn.loop().now();
@@ -85,10 +85,8 @@ void ReinjectionEngine::run(quic::Connection& conn) {
       // can be rebuilt from the repair symbol -- duplicating it too would
       // pay the redundancy cost twice.
       if (conn.fec_covers(id, rec.pn)) continue;
-      const std::uint64_t bytes = conn.reinject_record(rec, mode_);
+      const std::uint64_t bytes = conn.reinject_record(rec, mode);
       if (bytes > 0) {
-        ++stats_.records_reinjected;
-        stats_.bytes_reinjected += bytes;
         XLINK_TRACE(conn.trace(),
                     telemetry::Event::reinjection(
                         now, conn.trace_origin(),

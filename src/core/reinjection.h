@@ -16,25 +16,10 @@
 
 namespace xlink::core {
 
-struct ReinjectionStats {
-  std::uint64_t records_reinjected = 0;
-  std::uint64_t bytes_reinjected = 0;
-};
-
-class ReinjectionEngine {
- public:
-  explicit ReinjectionEngine(quic::InsertMode mode) : mode_(mode) {}
-
-  /// Scans unacked queues and re-injects eligible records. Call only when
-  /// re-injection is currently allowed (the QoE controller's decision).
-  void run(quic::Connection& conn);
-
-  const ReinjectionStats& stats() const { return stats_; }
-
- private:
-  quic::InsertMode mode_;
-  ReinjectionStats stats_;
-};
+/// Scans unacked queues and re-injects eligible records, inserting each
+/// duplicate into the send queue with `mode`. Call only when re-injection
+/// is currently allowed (the QoE controller's decision).
+void reinject(quic::Connection& conn, quic::InsertMode mode);
 
 /// Eq. 1: max over paths with unacked packets of RTT + RTT variation.
 std::optional<sim::Duration> max_deliver_time(const quic::Connection& conn);

@@ -33,7 +33,8 @@ void XlinkScheduler::maybe_reinject(quic::Connection& conn) {
   // redundancy is suppressed too.
   conn.set_fec_gate(redundancy_has_fec(config_.redundancy) && d.allowed);
   if (!last_decision_) return;
-  if (redundancy_has_reinject(config_.redundancy)) engine_.run(conn);
+  if (redundancy_has_reinject(config_.redundancy))
+    reinject(conn, config_.insert_mode);
 }
 
 std::shared_ptr<XlinkScheduler> make_xlink_scheduler(

@@ -2,7 +2,7 @@
 //
 // Combines:
 //  - min-RTT path selection for first transmissions;
-//  - stream- and video-frame-priority re-injection (ReinjectionEngine);
+//  - stream- and video-frame-priority re-injection (core::reinject);
 //  - double-thresholding QoE control gating re-injection on the client's
 //    buffer occupancy feedback (DoubleThresholdController);
 //  - re-injections always travel on a different path than the original.
@@ -46,8 +46,7 @@ struct XlinkSchedulerConfig {
 class XlinkScheduler final : public quic::Scheduler {
  public:
   explicit XlinkScheduler(XlinkSchedulerConfig config)
-      : config_(config), controller_(config.control),
-        engine_(config.insert_mode) {}
+      : config_(config), controller_(config.control) {}
 
   std::optional<quic::PathId> select_path(quic::Connection& conn) override;
   void maybe_reinject(quic::Connection& conn) override;
@@ -60,7 +59,6 @@ class XlinkScheduler final : public quic::Scheduler {
  private:
   XlinkSchedulerConfig config_;
   DoubleThresholdController controller_;
-  ReinjectionEngine engine_;
   bool last_decision_ = false;
   bool gate_traced_ = false;  // first decision traced yet?
 };

@@ -37,7 +37,7 @@ namespace xlink::fec {
 /// packet payload.
 inline constexpr std::size_t kPayloadCap = 1280;
 /// How long an emitted repair window suppresses re-injection of the
-/// packets it covers (mutual awareness with the ReinjectionEngine).
+/// packets it covers (mutual awareness with core::reinject).
 inline constexpr sim::Duration kCoverLinger = sim::millis(300);
 /// Largest REPAIR symbol a receiver accepts: a real symbol is bounded by
 /// the sealed MTU plus its 2-byte length prefix. The RecoveryBuffer

@@ -34,11 +34,13 @@ using telemetry::JsonWriter;
 // Manifest entries use short string keys so a grid file is greppable and
 // stable across enum reorderings.
 
-struct SchemeKey {
-  core::Scheme scheme;
+template <typename E>
+struct EnumKey {
+  E value;
   const char* key;
 };
-constexpr SchemeKey kSchemeKeys[] = {
+
+constexpr EnumKey<core::Scheme> kSchemeKeys[] = {
     {core::Scheme::kSinglePath, "sp"},
     {core::Scheme::kConnMigration, "cm"},
     {core::Scheme::kVanillaMp, "vanilla_mp"},
@@ -47,99 +49,47 @@ constexpr SchemeKey kSchemeKeys[] = {
     {core::Scheme::kReinjectNoQoe, "reinject_noqoe"},
     {core::Scheme::kXlink, "xlink"},
 };
+constexpr EnumKey<quic::CcAlgorithm> kCcKeys[] = {
+    {quic::CcAlgorithm::kNewReno, "newreno"},
+    {quic::CcAlgorithm::kCubic, "cubic"},
+    {quic::CcAlgorithm::kCoupledLia, "coupled_lia"},
+    {quic::CcAlgorithm::kBbr, "bbr"},
+};
+constexpr EnumKey<core::ControlMode> kControlModeKeys[] = {
+    {core::ControlMode::kDoubleThreshold, "double_threshold"},
+    {core::ControlMode::kAlwaysOn, "always_on"},
+    {core::ControlMode::kAlwaysOff, "always_off"},
+};
+constexpr EnumKey<quic::AckPathPolicy> kAckPolicyKeys[] = {
+    {quic::AckPathPolicy::kOriginalPath, "original_path"},
+    {quic::AckPathPolicy::kFastestPath, "fastest_path"},
+};
+constexpr EnumKey<core::XlinkRedundancy> kRedundancyKeys[] = {
+    {core::XlinkRedundancy::kNone, "none"},
+    {core::XlinkRedundancy::kReinject, "reinject"},
+    {core::XlinkRedundancy::kFec, "fec"},
+    {core::XlinkRedundancy::kReinjectPlusFec, "reinject_fec"},
+};
+constexpr EnumKey<quic::InsertMode> kInsertModeKeys[] = {
+    {quic::InsertMode::kAppend, "append"},
+    {quic::InsertMode::kPriority, "priority"},
+    {quic::InsertMode::kFrontOfClass, "front_of_class"},
+};
 
-std::string scheme_key(core::Scheme s) {
-  for (const auto& e : kSchemeKeys)
-    if (e.scheme == s) return e.key;
-  fail("unknown scheme enum value");
+/// `what` names the enum in the error ("unknown cc enum value").
+template <typename E, std::size_t N>
+const char* key_of(const EnumKey<E> (&table)[N], E value, const char* what) {
+  for (const auto& e : table)
+    if (e.value == value) return e.key;
+  fail(std::string("unknown ") + what + " enum value");
 }
 
-core::Scheme scheme_from_key(const std::string& key) {
-  for (const auto& e : kSchemeKeys)
-    if (key == e.key) return e.scheme;
-  fail("unknown scheme key '" + key + "'");
-}
-
-std::string cc_key(quic::CcAlgorithm cc) {
-  switch (cc) {
-    case quic::CcAlgorithm::kNewReno: return "newreno";
-    case quic::CcAlgorithm::kCubic: return "cubic";
-    case quic::CcAlgorithm::kCoupledLia: return "coupled_lia";
-    case quic::CcAlgorithm::kBbr: return "bbr";
-  }
-  fail("unknown cc enum value");
-}
-
-quic::CcAlgorithm cc_from_key(const std::string& key) {
-  if (key == "newreno") return quic::CcAlgorithm::kNewReno;
-  if (key == "cubic") return quic::CcAlgorithm::kCubic;
-  if (key == "coupled_lia") return quic::CcAlgorithm::kCoupledLia;
-  if (key == "bbr") return quic::CcAlgorithm::kBbr;
-  fail("unknown cc key '" + key + "'");
-}
-
-std::string control_mode_key(core::ControlMode m) {
-  switch (m) {
-    case core::ControlMode::kDoubleThreshold: return "double_threshold";
-    case core::ControlMode::kAlwaysOn: return "always_on";
-    case core::ControlMode::kAlwaysOff: return "always_off";
-  }
-  fail("unknown control mode enum value");
-}
-
-core::ControlMode control_mode_from_key(const std::string& key) {
-  if (key == "double_threshold") return core::ControlMode::kDoubleThreshold;
-  if (key == "always_on") return core::ControlMode::kAlwaysOn;
-  if (key == "always_off") return core::ControlMode::kAlwaysOff;
-  fail("unknown control mode key '" + key + "'");
-}
-
-std::string ack_policy_key(quic::AckPathPolicy p) {
-  switch (p) {
-    case quic::AckPathPolicy::kOriginalPath: return "original_path";
-    case quic::AckPathPolicy::kFastestPath: return "fastest_path";
-  }
-  fail("unknown ack policy enum value");
-}
-
-quic::AckPathPolicy ack_policy_from_key(const std::string& key) {
-  if (key == "original_path") return quic::AckPathPolicy::kOriginalPath;
-  if (key == "fastest_path") return quic::AckPathPolicy::kFastestPath;
-  fail("unknown ack policy key '" + key + "'");
-}
-
-std::string redundancy_key(core::XlinkRedundancy r) {
-  switch (r) {
-    case core::XlinkRedundancy::kNone: return "none";
-    case core::XlinkRedundancy::kReinject: return "reinject";
-    case core::XlinkRedundancy::kFec: return "fec";
-    case core::XlinkRedundancy::kReinjectPlusFec: return "reinject_fec";
-  }
-  fail("unknown redundancy enum value");
-}
-
-core::XlinkRedundancy redundancy_from_key(const std::string& key) {
-  if (key == "none") return core::XlinkRedundancy::kNone;
-  if (key == "reinject") return core::XlinkRedundancy::kReinject;
-  if (key == "fec") return core::XlinkRedundancy::kFec;
-  if (key == "reinject_fec") return core::XlinkRedundancy::kReinjectPlusFec;
-  fail("unknown redundancy key '" + key + "'");
-}
-
-std::string insert_mode_key(quic::InsertMode m) {
-  switch (m) {
-    case quic::InsertMode::kAppend: return "append";
-    case quic::InsertMode::kPriority: return "priority";
-    case quic::InsertMode::kFrontOfClass: return "front_of_class";
-  }
-  fail("unknown insert mode enum value");
-}
-
-quic::InsertMode insert_mode_from_key(const std::string& key) {
-  if (key == "append") return quic::InsertMode::kAppend;
-  if (key == "priority") return quic::InsertMode::kPriority;
-  if (key == "front_of_class") return quic::InsertMode::kFrontOfClass;
-  fail("unknown insert mode key '" + key + "'");
+template <typename E, std::size_t N>
+E from_key(const EnumKey<E> (&table)[N], const std::string& key,
+           const char* what) {
+  for (const auto& e : table)
+    if (key == e.key) return e.value;
+  fail(std::string("unknown ") + what + " key '" + key + "'");
 }
 
 // ----------------------------------------------------- field-level codecs
@@ -233,13 +183,17 @@ const JsonValue& parse_arr(const JsonValue& obj, const char* k) {
 
 void write_options(JsonWriter& w, const core::SchemeOptions& o) {
   w.begin_object();
-  w.kv("cc", cc_key(o.cc));
+  w.kv("cc", key_of(kCcKeys, o.cc, "cc"));
   kv_u64(w, "tth1_us", o.control.tth1);
   kv_u64(w, "tth2_us", o.control.tth2);
-  w.kv("control_mode", control_mode_key(o.control.mode));
-  w.kv("ack_policy", ack_policy_key(o.xlink_ack_policy));
-  w.kv("insert_mode", insert_mode_key(o.xlink_insert_mode));
-  w.kv("redundancy", redundancy_key(o.xlink_redundancy));
+  w.kv("control_mode",
+       key_of(kControlModeKeys, o.control.mode, "control mode"));
+  w.kv("ack_policy",
+       key_of(kAckPolicyKeys, o.xlink_ack_policy, "ack policy"));
+  w.kv("insert_mode",
+       key_of(kInsertModeKeys, o.xlink_insert_mode, "insert mode"));
+  w.kv("redundancy",
+       key_of(kRedundancyKeys, o.xlink_redundancy, "redundancy"));
   kv_u64(w, "fec_window", o.fec.window);
   kv_u64(w, "fec_min_repairs", o.fec.min_repairs);
   kv_u64(w, "fec_max_repairs", o.fec.max_repairs);
@@ -251,13 +205,17 @@ void write_options(JsonWriter& w, const core::SchemeOptions& o) {
 
 core::SchemeOptions parse_options(const JsonValue& v) {
   core::SchemeOptions o;
-  o.cc = cc_from_key(parse_str(v, "cc"));
+  o.cc = from_key(kCcKeys, parse_str(v, "cc"), "cc");
   o.control.tth1 = parse_u64(v, "tth1_us");
   o.control.tth2 = parse_u64(v, "tth2_us");
-  o.control.mode = control_mode_from_key(parse_str(v, "control_mode"));
-  o.xlink_ack_policy = ack_policy_from_key(parse_str(v, "ack_policy"));
-  o.xlink_insert_mode = insert_mode_from_key(parse_str(v, "insert_mode"));
-  o.xlink_redundancy = redundancy_from_key(parse_str(v, "redundancy"));
+  o.control.mode = from_key(kControlModeKeys, parse_str(v, "control_mode"),
+                            "control mode");
+  o.xlink_ack_policy =
+      from_key(kAckPolicyKeys, parse_str(v, "ack_policy"), "ack policy");
+  o.xlink_insert_mode =
+      from_key(kInsertModeKeys, parse_str(v, "insert_mode"), "insert mode");
+  o.xlink_redundancy =
+      from_key(kRedundancyKeys, parse_str(v, "redundancy"), "redundancy");
   o.fec.window = parse_u64(v, "fec_window");
   o.fec.min_repairs = parse_u64(v, "fec_min_repairs");
   o.fec.max_repairs = parse_u64(v, "fec_max_repairs");
@@ -303,10 +261,10 @@ void write_cell(JsonWriter& w, std::size_t index, const GridCell& c) {
   w.kv("index", static_cast<std::uint64_t>(index));
   w.kv("label", c.label);
   w.kv("ab", c.ab);
-  w.kv("scheme_a", scheme_key(c.scheme_a));
+  w.kv("scheme_a", key_of(kSchemeKeys, c.scheme_a, "scheme"));
   w.key("options_a");
   write_options(w, c.options_a);
-  w.kv("scheme_b", scheme_key(c.scheme_b));
+  w.kv("scheme_b", key_of(kSchemeKeys, c.scheme_b, "scheme"));
   w.key("options_b");
   write_options(w, c.options_b);
   w.key("pop");
@@ -321,9 +279,9 @@ GridCell parse_cell(const JsonValue& v) {
   GridCell c;
   c.label = parse_str(v, "label");
   c.ab = parse_bool(v, "ab");
-  c.scheme_a = scheme_from_key(parse_str(v, "scheme_a"));
+  c.scheme_a = from_key(kSchemeKeys, parse_str(v, "scheme_a"), "scheme");
   c.options_a = parse_options(parse_obj(v, "options_a"));
-  c.scheme_b = scheme_from_key(parse_str(v, "scheme_b"));
+  c.scheme_b = from_key(kSchemeKeys, parse_str(v, "scheme_b"), "scheme");
   c.options_b = parse_options(parse_obj(v, "options_b"));
   c.pop = parse_population(parse_obj(v, "pop"));
   c.day_seed = parse_u64(v, "day_seed");

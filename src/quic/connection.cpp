@@ -1015,6 +1015,7 @@ void Connection::on_datagram(PathId arrival_path, net::Datagram dgram) {
 }
 
 bool Connection::already_received(const PathState& p, PacketNumber pn) const {
+  if (pn < p.recv_floor) return true;
   for (const AckRange& r : p.recv_ranges)
     if (pn >= r.first && pn <= r.last) return true;
   return false;
@@ -1022,8 +1023,9 @@ bool Connection::already_received(const PathState& p, PacketNumber pn) const {
 
 void Connection::note_received(PathState& p, PacketNumber pn,
                                bool ack_eliciting) {
-  // Merge pn into the descending-sorted range list.
-  bool merged = false;
+  // Merge pn into the descending-sorted range list (a pn below the floor
+  // is already accounted for).
+  bool merged = pn < p.recv_floor;
   for (std::size_t i = 0; i < p.recv_ranges.size() && !merged; ++i) {
     AckRange& r = p.recv_ranges[i];
     if (pn >= r.first && pn <= r.last) {
@@ -1050,7 +1052,10 @@ void Connection::note_received(PathState& p, PacketNumber pn,
                            [pn](const AckRange& r) { return r.last < pn; });
     p.recv_ranges.insert(it, AckRange{pn, pn});
   }
-  if (p.recv_ranges.size() > kMaxAckRanges) p.recv_ranges.pop_back();
+  if (p.recv_ranges.size() > kMaxAckRanges) {
+    p.recv_floor = p.recv_ranges.back().last + 1;
+    p.recv_ranges.pop_back();
+  }
 
   if (pn == p.recv_ranges.front().last) p.largest_recv_time = loop_.now();
   if (ack_eliciting) {
@@ -1174,7 +1179,6 @@ void Connection::on_peer_qoe(const QoeSignal& qoe) {
               telemetry::Event::qoe_signal(loop_.now(), trace_origin(),
                                            qoe.cached_bytes,
                                            qoe.cached_frames, qoe.bps));
-  if (config_.scheduler) config_.scheduler->on_qoe(*this, qoe);
   if (on_qoe_feedback) on_qoe_feedback(qoe);
 }
 
@@ -1498,7 +1502,6 @@ void Connection::on_packets_lost(PathState& p,
   trace_cc_state(p);
   for (const LostPacket& lp : lost)
     if (!lp.record->ledger_only) requeue_record(*lp.record);
-  if (config_.scheduler) config_.scheduler->on_loss(*this, p.id);
 }
 
 void Connection::requeue_record(const SentRecord& record) {
@@ -1566,7 +1569,6 @@ void Connection::on_pto(PathState& p) {
   } else if (p.pto_count >= 3) {
     p.cc->on_persistent_congestion(loop_.now());
   }
-  if (config_.scheduler) config_.scheduler->on_pto(*this, p.id);
 
   // Path health: repeated consecutive PTOs mean the path is not just slow
   // but (probably) dead. Degrade early so telemetry shows the slide, fail

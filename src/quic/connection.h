@@ -121,6 +121,9 @@ struct PathState {
 
   // Receive side of this path's packet number space.
   std::vector<AckRange> recv_ranges;  // sorted descending, capped
+  /// Every pn below this counts as received: it rises past each range the
+  /// cap drops (RFC 9000 §13.2.3), so a replay there is still a replay.
+  PacketNumber recv_floor = 0;
   sim::Time largest_recv_time = 0;
   bool ack_pending = false;
   int ack_eliciting_unacked = 0;
@@ -385,7 +388,7 @@ class Connection {
     if (fec_framer_) fec_framer_->set_gate(allowed);
   }
   /// True if a recently emitted repair window covers `pn` on `path`; the
-  /// ReinjectionEngine skips such records (mutual awareness).
+  /// re-injection (core::reinject) skips such records (mutual awareness).
   bool fec_covers(PathId path, PacketNumber pn) const {
     return fec_framer_ && fec_framer_->covers(path, pn, loop_.now());
   }
@@ -441,8 +444,9 @@ class Connection {
 
   // Receive-side machinery.
   void handle_frames(PathId path, const std::vector<Frame>& frames);
-  /// A peer QoE signal (from ACK_MP or QOE_CONTROL_SIGNALS): stored, traced,
-  /// and passed to the scheduler and the on_qoe_feedback observer.
+  /// A peer QoE signal (from ACK_MP or QOE_CONTROL_SIGNALS): stored (the
+  /// scheduler reads it as latest_peer_qoe()), traced, and passed to the
+  /// on_qoe_feedback observer.
   void on_peer_qoe(const QoeSignal& qoe);
   void handle_repair_frame(PathId path, const RepairFrame& f);
   double path_loss_estimate(const PathState& p) const;

@@ -12,7 +12,6 @@
 #include <optional>
 #include <string>
 
-#include "quic/frame.h"
 #include "quic/types.h"
 #include "sim/time.h"
 
@@ -59,15 +58,6 @@ class Scheduler {
   /// Chance to insert re-injection items; called by the send loop before
   /// giving up on an empty/blocked queue and after each packet is formed.
   virtual void maybe_reinject(Connection& /*conn*/) {}
-
-  /// QoE feedback arrived from the peer (server side of XLINK).
-  virtual void on_qoe(Connection& /*conn*/, const QoeSignal& /*qoe*/) {}
-
-  /// A packet on `path` was declared lost.
-  virtual void on_loss(Connection& /*conn*/, PathId /*path*/) {}
-
-  /// A probe timeout fired on `path`.
-  virtual void on_pto(Connection& /*conn*/, PathId /*path*/) {}
 
   virtual std::string name() const = 0;
 };

@@ -45,15 +45,6 @@ const char* fault_kind_label(std::uint64_t k) {
   return "?";
 }
 
-const char* origin_label(Origin o) {
-  switch (o) {
-    case Origin::kServer: return "server";
-    case Origin::kClient: return "client";
-    case Origin::kSession: return "session";
-  }
-  return "?";
-}
-
 const char* tech_name(std::uint64_t tech) {
   switch (tech) {
     case 0: return "wifi";
@@ -594,7 +585,7 @@ std::string render_report(const AnalysisReport& rep) {
         os << "fault " << fault_kind_label(f.code) << " (window " << f.window
            << ") " << (f.fault_active ? "begins" : "ends");
       } else {
-        os << origin_label(f.origin) << " health -> " << health_name(f.code)
+        os << origin_name(f.origin) << " health -> " << health_name(f.code)
            << " (pto_count " << f.pto_count << ")";
       }
       os << "\n";

@@ -2,9 +2,10 @@
 //
 // Every event is a fixed-size POD so a per-session ring buffer of them is
 // cache-friendly and recording is a couple of stores. The price is that
-// field names are positional: each EventType documents what the generic
-// slots (`a`, `b`, `c`, `extra`, `flag`) mean for it, and qlog.cpp maps
-// them to named JSON fields on export. Keep the two in sync.
+// field names are positional: which generic slot (`path`, `a` to `d`,
+// `extra`, `flag`) holds which value is written down once, in the schema
+// table `kSchema` in qlog.cpp, which names every field and drives both
+// qlog export and import. The comments below say what each event records.
 #pragma once
 
 #include <cstdint>
@@ -23,61 +24,34 @@ enum class Origin : std::uint8_t {
 };
 
 enum class EventType : std::uint8_t {
-  kPacketSent = 0,        // path; a=pn, b=wire bytes;
-                          // flag bit0=ack_eliciting, bit1=is_reinjection
-  kPacketReceived,        // path; a=pn, b=wire bytes
-  kAckMp,                 // path=acked path; a=largest acked pn,
-                          // b=newly acked bytes; c=rtt sample (us);
-                          // flag bit0=rtt sample present
-  kLoss,                  // path; a=pn, b=wire bytes;
-                          // flag=LossDetection reason (0=packet threshold,
-                          // 1=time threshold)
-  kPto,                   // path; a=pto_count after this timeout
-  kCcState,               // path; a=cwnd bytes, b=bytes in flight,
-                          // c=ssthresh bytes (kNoValue -> omitted on export);
-                          // extra=srtt (us, saturated); flag=in_slow_start;
-                          // d=pacing rate (bytes/s, kNoValue -> omitted)
-  kPathStatus,            // path; a=PathState::State as integer
-  kPathBound,             // path; a=net::Wireless as integer (harness wiring)
-  kReinjection,           // path=origin path; a=bytes duplicated, b=pn of
-                          // the re-injected record
-  kDoubleThresholdGate,   // flag=decision (1=re-injection allowed);
-                          // extra=rule (DoubleThresholdController::Rule);
-                          // a=play-time-left dt (us), b=deliver_time_max
-                          // (us); kNoValue when not computable
-  kQoeSignal,             // a=cached_bytes, b=cached_frames, c=bitrate bps
-  kPlayerFirstFrame,      // a=first-frame latency (us)
-  kPlayerStall,           // a=index of the frame that missed its deadline
-  kPlayerResume,          // a=stall duration (us), b=frame index
-  kPlayerFinished,        // a=frames played
-  kFault,                 // path=network path index; a=net::FaultKind as
-                          // integer, b=window index in the plan;
-                          // flag bit0=1 window opens, 0 window closes
-  kPathHealth,            // path; a=PathState::Health as integer,
-                          // b=pto_count at the transition
-  kFecRepairSent,         // path=protected path; a=window id, b=repair
-                          // symbol bytes; c=window first pn; extra=k | r<<8;
-                          // flag=symbol index
-  kFecRecovered,          // path; a=recovered pn, b=window id;
-                          // c=recovery latency vs the loss (us)
-  kFecWasted,             // path; a=window id, b=wasted repair symbols
-                          // (window completed without needing them)
-  kGuardViolation,        // path; a=transport error code, b=ViolationKind
-                          // as integer, c=observed value (count/bytes)
-  kAuditCheck,            // a=checks run this tick, b=total failures so
-                          // far, c=outstanding pooled buffers
-  kFecStashEvicted,       // path; a=evicted pn, b=evicted bytes,
-                          // c=stash bytes after eviction
-  kCcRateSample,          // path; a=delivery rate (bytes/s), b=windowed-max
-                          // btlbw (bytes/s), c=windowed-min rtt (us);
-                          // flag bit0=sample is app-limited
-  kAbrDecision,           // a=chunk index, b=chosen ladder rung,
-                          // c=rate estimate used (bps, kNoValue=none),
-                          // d=previous rung (kNoValue=first decision);
-                          // extra=buffer level (ms, saturated)
+  kPacketSent = 0,       // a packet left a path
+  kPacketReceived,       // a packet arrived on a path
+  kAckMp,                // an ACK_MP frame acked a path's packets
+  kLoss,                 // LossDetection declared a packet lost, and why
+  kPto,                  // a probe timeout fired on a path
+  kCcState,              // a path's congestion-control snapshot
+  kPathStatus,           // a path changed PathState::State
+  kPathBound,            // the harness bound a path to a wireless tech
+  kReinjection,          // a record was duplicated off its path
+  kDoubleThresholdGate,  // the re-injection gate decided (Alg. 1 rule)
+  kQoeSignal,            // the client's QoE feedback arrived
+  kPlayerFirstFrame,     // the player showed its first frame
+  kPlayerStall,          // a frame missed its deadline
+  kPlayerResume,         // playback resumed after a stall
+  kPlayerFinished,       // the player played every frame
+  kFault,                // a fault window opened or closed on a path
+  kPathHealth,           // a path changed PathState::Health
+  kFecRepairSent,        // an FEC repair symbol was sent
+  kFecRecovered,         // FEC rebuilt a lost packet
+  kFecWasted,            // a window completed without its repair symbols
+  kGuardViolation,       // a guard check fired against the peer
+  kAuditCheck,           // the invariant auditor ran
+  kFecStashEvicted,      // the FEC stash evicted a packet
+  kCcRateSample,         // a delivery-rate sample and the BBR model
+  kAbrDecision,          // the ABR controller chose a rung for a chunk
 };
 
-/// Sentinel for "value not available" in `a`/`b`/`c`.
+/// Sentinel for "value not available" in `a` to `d`.
 constexpr std::uint64_t kNoValue = ~std::uint64_t{0};
 
 /// qlog-style event name ("category:name"), e.g. "transport:packet_sent".
@@ -85,6 +59,9 @@ const char* event_name(EventType type);
 
 /// Inverse of event_name; returns false for unknown names.
 bool event_type_from_name(const char* name, EventType& out);
+
+/// qlog "origin" value: "server", "client" or "session".
+const char* origin_name(Origin o);
 
 struct Event {
   sim::Time t = 0;
@@ -97,7 +74,7 @@ struct Event {
   std::uint64_t b = 0;
   std::uint64_t c = 0;
   /// Fourth generic slot (brace-init factories that predate it leave it
-  /// zero). Only kCcState uses it so far: pacing rate in bytes/sec.
+  /// zero): kCcState's pacing rate and kAbrDecision's previous rung.
   std::uint64_t d = 0;
 
   bool operator==(const Event&) const = default;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "telemetry/json.h"
-
 namespace xlink::telemetry {
 
 namespace {
@@ -13,11 +11,6 @@ constexpr int kUnderflowBucket = -1075;  // below every positive exponent
 int bucket_of(double v) {
   if (!(v > 0.0)) return kUnderflowBucket;
   return std::ilogb(v);
-}
-
-double bucket_upper(int bucket) {
-  if (bucket == kUnderflowBucket) return 0.0;
-  return std::ldexp(1.0, bucket + 1);
 }
 }  // namespace
 
@@ -47,19 +40,6 @@ void Histogram::merge(const Histogram& other) {
   for (const auto& [b, n] : other.buckets) buckets[b] += n;
 }
 
-double Histogram::percentile(double p) const {
-  if (count == 0) return 0.0;
-  p = std::clamp(p, 0.0, 100.0);
-  const auto target = static_cast<std::uint64_t>(
-      std::ceil(p / 100.0 * static_cast<double>(count)));
-  std::uint64_t seen = 0;
-  for (const auto& [b, n] : buckets) {
-    seen += n;
-    if (seen >= target) return std::min(bucket_upper(b), max);
-  }
-  return max;
-}
-
 std::uint64_t MetricsRegistry::counter(const std::string& name) const {
   auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second;
@@ -79,32 +59,6 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
   for (const auto& [name, v] : other.counters_) counters_[name] += v;
   for (const auto& [name, v] : other.gauges_) gauges_[name] = v;
   for (const auto& [name, h] : other.histograms_) histograms_[name].merge(h);
-}
-
-void MetricsRegistry::write_json(std::ostream& os, int indent) const {
-  JsonWriter w(os, indent);
-  w.begin_object();
-  w.key("counters").begin_object();
-  for (const auto& [name, v] : counters_) w.kv(name, v);
-  w.end_object();
-  w.key("gauges").begin_object();
-  for (const auto& [name, v] : gauges_) w.kv(name, v);
-  w.end_object();
-  w.key("histograms").begin_object();
-  for (const auto& [name, h] : histograms_) {
-    w.key(name).begin_object();
-    w.kv("count", h.count);
-    w.kv("sum", h.sum);
-    w.kv("min", h.min);
-    w.kv("max", h.max);
-    w.kv("mean", h.mean());
-    w.kv("p50", h.percentile(50));
-    w.kv("p95", h.percentile(95));
-    w.kv("p99", h.percentile(99));
-    w.end_object();
-  }
-  w.end_object();
-  w.end_object();
 }
 
 }  // namespace xlink::telemetry

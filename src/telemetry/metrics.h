@@ -16,11 +16,13 @@
 // negatives and zero in bucket INT32_MIN side bucket 0) — coarse, but
 // mergeable without retaining samples, which keeps the registry O(metrics)
 // rather than O(events).
+//
+// The registry's one JSON encoding is the grid-shard codec's lossless
+// write_registry / parse_registry (harness/shard.cpp).
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <ostream>
 #include <string>
 #include <utility>
 
@@ -38,8 +40,6 @@ struct Histogram {
   void observe(double v);
   void merge(const Histogram& other);
   double mean() const { return count == 0 ? 0.0 : sum / double(count); }
-  /// Percentile estimate from bucket upper bounds (coarse by design).
-  double percentile(double p) const;
 
   bool operator==(const Histogram&) const = default;
 };
@@ -83,9 +83,6 @@ class MetricsRegistry {
   const std::map<std::string, Histogram>& histograms() const {
     return histograms_;
   }
-
-  /// JSON object {"counters": {...}, "gauges": {...}, "histograms": {...}}.
-  void write_json(std::ostream& os, int indent = 2) const;
 
   bool operator==(const MetricsRegistry&) const = default;
 

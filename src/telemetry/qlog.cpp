@@ -2,6 +2,8 @@
 
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
+#include <iterator>
 #include <sstream>
 
 #include "telemetry/json.h"
@@ -10,38 +12,269 @@ namespace xlink::telemetry {
 
 namespace {
 
-struct NameEntry {
-  EventType type;
-  const char* name;
+/// The part of an Event a qlog data field's value lives in: a whole
+/// member, the low or second byte of `extra`, or bit 0 or 1 of `flag`.
+enum class Slot : std::uint8_t {
+  kPath, kA, kB, kC, kD, kExtra,
+  kExtraLo, kExtraHi, kFlag, kFlagBit0, kFlagBit1,
 };
 
-constexpr NameEntry kNames[] = {
-    {EventType::kPacketSent, "transport:packet_sent"},
-    {EventType::kPacketReceived, "transport:packet_received"},
-    {EventType::kAckMp, "transport:ack_mp_received"},
-    {EventType::kLoss, "recovery:packet_lost"},
-    {EventType::kPto, "recovery:probe_timeout"},
-    {EventType::kCcState, "recovery:metrics_updated"},
-    {EventType::kPathStatus, "transport:path_status"},
-    {EventType::kPathBound, "transport:path_bound"},
-    {EventType::kReinjection, "xlink:reinjection"},
-    {EventType::kDoubleThresholdGate, "xlink:double_threshold_gate"},
-    {EventType::kQoeSignal, "xlink:qoe_signal"},
-    {EventType::kPlayerFirstFrame, "player:first_frame"},
-    {EventType::kPlayerStall, "player:stall"},
-    {EventType::kPlayerResume, "player:resume"},
-    {EventType::kPlayerFinished, "player:finished"},
-    {EventType::kFault, "fault:injected"},
-    {EventType::kPathHealth, "transport:path_health"},
-    {EventType::kFecRepairSent, "fec:repair_sent"},
-    {EventType::kFecRecovered, "fec:recovered"},
-    {EventType::kFecWasted, "fec:wasted"},
-    {EventType::kGuardViolation, "guard:violation"},
-    {EventType::kAuditCheck, "audit:check"},
-    {EventType::kFecStashEvicted, "fec:stash_evicted"},
-    {EventType::kCcRateSample, "cc:rate_sample"},
-    {EventType::kAbrDecision, "abr:decision"},
+/// How a field's value is written (and read back).
+enum class Enc : std::uint8_t {
+  kPlain,
+  kOptional,    // omitted when the slot holds kNoValue
+  kBool,        // true/false
+  kIfFlagBit0,  // written only when flag bit 0 is set; reading it sets it
+  kLossReason,  // 0 = "packet_threshold", anything else "time_threshold"
 };
+
+struct Field {
+  const char* key;
+  Slot slot;
+  Enc enc = Enc::kPlain;
+};
+
+struct Schema {
+  EventType type;
+  const char* name;
+  std::initializer_list<Field> fields;  // in export order
+};
+
+// The qlog schema: one entry per EventType, in enum order. Every data
+// object starts with "origin"; the fields below follow it.
+constexpr Schema kSchema[] = {
+    {EventType::kPacketSent, "transport:packet_sent",
+     {{"path", Slot::kPath},
+      {"pn", Slot::kA},
+      {"bytes", Slot::kB},
+      {"ack_eliciting", Slot::kFlagBit0, Enc::kBool},
+      {"is_reinjection", Slot::kFlagBit1, Enc::kBool}}},
+    {EventType::kPacketReceived, "transport:packet_received",
+     {{"path", Slot::kPath}, {"pn", Slot::kA}, {"bytes", Slot::kB}}},
+    {EventType::kAckMp, "transport:ack_mp_received",
+     {{"path", Slot::kPath},
+      {"largest_acked", Slot::kA},
+      {"acked_bytes", Slot::kB},
+      {"rtt_us", Slot::kC, Enc::kIfFlagBit0}}},
+    {EventType::kLoss, "recovery:packet_lost",
+     {{"path", Slot::kPath},
+      {"pn", Slot::kA},
+      {"bytes", Slot::kB},
+      {"reason", Slot::kFlag, Enc::kLossReason}}},
+    {EventType::kPto, "recovery:probe_timeout",
+     {{"path", Slot::kPath}, {"pto_count", Slot::kA}}},
+    {EventType::kCcState, "recovery:metrics_updated",
+     {{"path", Slot::kPath},
+      {"cwnd", Slot::kA},
+      {"bytes_in_flight", Slot::kB},
+      {"ssthresh", Slot::kC, Enc::kOptional},
+      {"srtt_us", Slot::kExtra},
+      {"slow_start", Slot::kFlagBit0, Enc::kBool},
+      {"pacing_rate", Slot::kD, Enc::kOptional}}},
+    {EventType::kPathStatus, "transport:path_status",
+     {{"path", Slot::kPath}, {"state", Slot::kA}}},
+    {EventType::kPathBound, "transport:path_bound",
+     {{"path", Slot::kPath}, {"tech", Slot::kA}}},
+    {EventType::kReinjection, "xlink:reinjection",
+     {{"origin_path", Slot::kPath}, {"bytes", Slot::kA}, {"pn", Slot::kB}}},
+    {EventType::kDoubleThresholdGate, "xlink:double_threshold_gate",
+     {{"allowed", Slot::kFlagBit0, Enc::kBool},
+      {"rule", Slot::kExtra},
+      {"play_time_left_us", Slot::kA, Enc::kOptional},
+      {"deliver_time_max_us", Slot::kB, Enc::kOptional}}},
+    {EventType::kQoeSignal, "xlink:qoe_signal",
+     {{"cached_bytes", Slot::kA},
+      {"cached_frames", Slot::kB},
+      {"bps", Slot::kC}}},
+    {EventType::kPlayerFirstFrame, "player:first_frame",
+     {{"latency_us", Slot::kA}}},
+    {EventType::kPlayerStall, "player:stall", {{"frame", Slot::kA}}},
+    {EventType::kPlayerResume, "player:resume",
+     {{"stall_us", Slot::kA}, {"frame", Slot::kB}}},
+    {EventType::kPlayerFinished, "player:finished", {{"frames", Slot::kA}}},
+    {EventType::kFault, "fault:injected",
+     {{"path", Slot::kPath},
+      {"kind", Slot::kA},
+      {"window", Slot::kB},
+      {"active", Slot::kFlagBit0, Enc::kBool}}},
+    {EventType::kPathHealth, "transport:path_health",
+     {{"path", Slot::kPath}, {"health", Slot::kA}, {"pto_count", Slot::kB}}},
+    {EventType::kFecRepairSent, "fec:repair_sent",
+     {{"path", Slot::kPath},
+      {"window", Slot::kA},
+      {"bytes", Slot::kB},
+      {"first_pn", Slot::kC},
+      {"k", Slot::kExtraLo},
+      {"r", Slot::kExtraHi},
+      {"symbol_index", Slot::kFlag}}},
+    {EventType::kFecRecovered, "fec:recovered",
+     {{"path", Slot::kPath},
+      {"pn", Slot::kA},
+      {"window", Slot::kB},
+      {"latency_us", Slot::kC}}},
+    {EventType::kFecWasted, "fec:wasted",
+     {{"path", Slot::kPath}, {"window", Slot::kA}, {"symbols", Slot::kB}}},
+    {EventType::kGuardViolation, "guard:violation",
+     {{"path", Slot::kPath},
+      {"error_code", Slot::kA},
+      {"kind", Slot::kB},
+      {"observed", Slot::kC}}},
+    {EventType::kAuditCheck, "audit:check",
+     {{"checks", Slot::kA},
+      {"failures", Slot::kB},
+      {"pool_outstanding", Slot::kC}}},
+    {EventType::kFecStashEvicted, "fec:stash_evicted",
+     {{"path", Slot::kPath},
+      {"pn", Slot::kA},
+      {"bytes", Slot::kB},
+      {"stash_bytes", Slot::kC}}},
+    {EventType::kCcRateSample, "cc:rate_sample",
+     {{"path", Slot::kPath},
+      {"rate", Slot::kA},
+      {"btlbw", Slot::kB},
+      {"min_rtt_us", Slot::kC},
+      {"app_limited", Slot::kFlagBit0, Enc::kBool}}},
+    {EventType::kAbrDecision, "abr:decision",
+     {{"chunk", Slot::kA},
+      {"rung", Slot::kB},
+      {"prev_rung", Slot::kD, Enc::kOptional},
+      {"estimate_bps", Slot::kC, Enc::kOptional},
+      {"buffer_ms", Slot::kExtra}}},
+};
+
+constexpr bool schema_in_enum_order() {
+  for (std::size_t i = 0; i < std::size(kSchema); ++i)
+    if (static_cast<std::size_t>(kSchema[i].type) != i) return false;
+  return std::size(kSchema) ==
+         static_cast<std::size_t>(EventType::kAbrDecision) + 1;
+}
+static_assert(schema_in_enum_order(), "kSchema[t] must describe EventType t");
+
+const Schema* schema_of(EventType type) {
+  const auto i = static_cast<std::size_t>(type);
+  return i < std::size(kSchema) ? &kSchema[i] : nullptr;
+}
+
+std::uint64_t get(const Event& e, Slot s) {
+  switch (s) {
+    case Slot::kPath: return e.path;
+    case Slot::kA: return e.a;
+    case Slot::kB: return e.b;
+    case Slot::kC: return e.c;
+    case Slot::kD: return e.d;
+    case Slot::kExtra: return e.extra;
+    case Slot::kExtraLo: return e.extra & 0xff;
+    case Slot::kExtraHi: return (e.extra >> 8) & 0xff;
+    case Slot::kFlag: return e.flag;
+    case Slot::kFlagBit0: return e.flag & 1;
+    case Slot::kFlagBit1: return (e.flag >> 1) & 1;
+  }
+  return 0;
+}
+
+/// Stores `v` in slot `s` of an event whose sub-byte and bit slots are
+/// still zero (each slot is read once per event).
+void put(Event& e, Slot s, std::uint64_t v) {
+  switch (s) {
+    case Slot::kPath: e.path = static_cast<std::uint8_t>(v); break;
+    case Slot::kA: e.a = v; break;
+    case Slot::kB: e.b = v; break;
+    case Slot::kC: e.c = v; break;
+    case Slot::kD: e.d = v; break;
+    case Slot::kExtra: e.extra = static_cast<std::uint32_t>(v); break;
+    case Slot::kExtraLo: e.extra |= static_cast<std::uint32_t>(v & 0xff); break;
+    case Slot::kExtraHi:
+      e.extra |= static_cast<std::uint32_t>(v & 0xff) << 8;
+      break;
+    case Slot::kFlag: e.flag = static_cast<std::uint8_t>(v); break;
+    case Slot::kFlagBit0: e.flag |= static_cast<std::uint8_t>(v & 1); break;
+    case Slot::kFlagBit1:
+      e.flag |= static_cast<std::uint8_t>((v & 1) << 1);
+      break;
+  }
+}
+
+bool origin_from_name(const std::string& s, Origin& out) {
+  for (const Origin o : {Origin::kServer, Origin::kClient, Origin::kSession}) {
+    if (s == origin_name(o)) {
+      out = o;
+      return true;
+    }
+  }
+  return false;
+}
+
+void write_event_data(JsonWriter& w, const Event& e) {
+  w.kv("origin", origin_name(e.origin));
+  const Schema* schema = schema_of(e.type);
+  if (!schema) return;
+  for (const Field& f : schema->fields) {
+    const std::uint64_t v = get(e, f.slot);
+    switch (f.enc) {
+      case Enc::kPlain: w.kv(f.key, v); break;
+      case Enc::kOptional:
+        if (v != kNoValue) w.kv(f.key, v);
+        break;
+      case Enc::kBool: w.kv(f.key, v != 0); break;
+      case Enc::kIfFlagBit0:
+        if (e.flag & 1) w.kv(f.key, v);
+        break;
+      case Enc::kLossReason:
+        w.kv(f.key, v == 0 ? "packet_threshold" : "time_threshold");
+        break;
+    }
+  }
+}
+
+std::optional<Event> event_from_json(const JsonValue& entry) {
+  Event e;
+  if (!event_type_from_name(entry.get_str("name").c_str(), e.type))
+    return std::nullopt;
+  const JsonValue* data = entry.get("data");
+  if (!data || !data->is_object()) return std::nullopt;
+  e.t = entry.get_u64("time");
+  if (!origin_from_name(data->get_str("origin", "server"), e.origin))
+    return std::nullopt;
+  for (const Field& f : schema_of(e.type)->fields) {
+    const JsonValue* v = data->get(f.key);
+    switch (f.enc) {
+      case Enc::kPlain: put(e, f.slot, data->get_u64(f.key)); break;
+      case Enc::kOptional:
+        put(e, f.slot, v ? data->get_u64(f.key) : kNoValue);
+        break;
+      case Enc::kBool:
+        put(e, f.slot, v && v->kind == JsonValue::Kind::kBool && v->boolean);
+        break;
+      case Enc::kIfFlagBit0:
+        if (v) {
+          put(e, f.slot, data->get_u64(f.key));
+          e.flag |= 1;
+        }
+        break;
+      case Enc::kLossReason:
+        put(e, f.slot, data->get_str(f.key) == "time_threshold" ? 1 : 0);
+        break;
+    }
+  }
+  return e;
+}
+
+}  // namespace
+
+const char* event_name(EventType type) {
+  const Schema* schema = schema_of(type);
+  return schema ? schema->name : "unknown";
+}
+
+bool event_type_from_name(const char* name, EventType& out) {
+  for (const Schema& schema : kSchema) {
+    if (std::strcmp(schema.name, name) == 0) {
+      out = schema.type;
+      return true;
+    }
+  }
+  return false;
+}
 
 const char* origin_name(Origin o) {
   switch (o) {
@@ -50,334 +283,6 @@ const char* origin_name(Origin o) {
     case Origin::kSession: return "session";
   }
   return "server";
-}
-
-bool origin_from_name(const std::string& s, Origin& out) {
-  if (s == "server") out = Origin::kServer;
-  else if (s == "client") out = Origin::kClient;
-  else if (s == "session") out = Origin::kSession;
-  else
-    return false;
-  return true;
-}
-
-const char* loss_reason_name(std::uint8_t reason) {
-  return reason == 0 ? "packet_threshold" : "time_threshold";
-}
-
-void write_event_data(JsonWriter& w, const Event& e) {
-  w.kv("origin", origin_name(e.origin));
-  switch (e.type) {
-    case EventType::kPacketSent:
-      w.kv("path", std::uint64_t{e.path});
-      w.kv("pn", e.a);
-      w.kv("bytes", e.b);
-      w.kv("ack_eliciting", (e.flag & 1) != 0);
-      w.kv("is_reinjection", (e.flag & 2) != 0);
-      break;
-    case EventType::kPacketReceived:
-      w.kv("path", std::uint64_t{e.path});
-      w.kv("pn", e.a);
-      w.kv("bytes", e.b);
-      break;
-    case EventType::kAckMp:
-      w.kv("path", std::uint64_t{e.path});
-      w.kv("largest_acked", e.a);
-      w.kv("acked_bytes", e.b);
-      if (e.flag & 1) w.kv("rtt_us", e.c);
-      break;
-    case EventType::kLoss:
-      w.kv("path", std::uint64_t{e.path});
-      w.kv("pn", e.a);
-      w.kv("bytes", e.b);
-      w.kv("reason", loss_reason_name(e.flag));
-      break;
-    case EventType::kPto:
-      w.kv("path", std::uint64_t{e.path});
-      w.kv("pto_count", e.a);
-      break;
-    case EventType::kCcState:
-      w.kv("path", std::uint64_t{e.path});
-      w.kv("cwnd", e.a);
-      w.kv("bytes_in_flight", e.b);
-      if (e.c != kNoValue) w.kv("ssthresh", e.c);
-      w.kv("srtt_us", std::uint64_t{e.extra});
-      w.kv("slow_start", (e.flag & 1) != 0);
-      if (e.d != kNoValue) w.kv("pacing_rate", e.d);
-      break;
-    case EventType::kPathStatus:
-      w.kv("path", std::uint64_t{e.path});
-      w.kv("state", e.a);
-      break;
-    case EventType::kPathBound:
-      w.kv("path", std::uint64_t{e.path});
-      w.kv("tech", e.a);
-      break;
-    case EventType::kReinjection:
-      w.kv("origin_path", std::uint64_t{e.path});
-      w.kv("bytes", e.a);
-      w.kv("pn", e.b);
-      break;
-    case EventType::kDoubleThresholdGate:
-      w.kv("allowed", (e.flag & 1) != 0);
-      w.kv("rule", std::uint64_t{e.extra});
-      if (e.a != kNoValue) w.kv("play_time_left_us", e.a);
-      if (e.b != kNoValue) w.kv("deliver_time_max_us", e.b);
-      break;
-    case EventType::kQoeSignal:
-      w.kv("cached_bytes", e.a);
-      w.kv("cached_frames", e.b);
-      w.kv("bps", e.c);
-      break;
-    case EventType::kPlayerFirstFrame:
-      w.kv("latency_us", e.a);
-      break;
-    case EventType::kPlayerStall:
-      w.kv("frame", e.a);
-      break;
-    case EventType::kPlayerResume:
-      w.kv("stall_us", e.a);
-      w.kv("frame", e.b);
-      break;
-    case EventType::kPlayerFinished:
-      w.kv("frames", e.a);
-      break;
-    case EventType::kFault:
-      w.kv("path", std::uint64_t{e.path});
-      w.kv("kind", e.a);
-      w.kv("window", e.b);
-      w.kv("active", (e.flag & 1) != 0);
-      break;
-    case EventType::kPathHealth:
-      w.kv("path", std::uint64_t{e.path});
-      w.kv("health", e.a);
-      w.kv("pto_count", e.b);
-      break;
-    case EventType::kFecRepairSent:
-      w.kv("path", std::uint64_t{e.path});
-      w.kv("window", e.a);
-      w.kv("bytes", e.b);
-      w.kv("first_pn", e.c);
-      w.kv("k", std::uint64_t{e.extra & 0xff});
-      w.kv("r", std::uint64_t{(e.extra >> 8) & 0xff});
-      w.kv("symbol_index", std::uint64_t{e.flag});
-      break;
-    case EventType::kFecRecovered:
-      w.kv("path", std::uint64_t{e.path});
-      w.kv("pn", e.a);
-      w.kv("window", e.b);
-      w.kv("latency_us", e.c);
-      break;
-    case EventType::kFecWasted:
-      w.kv("path", std::uint64_t{e.path});
-      w.kv("window", e.a);
-      w.kv("symbols", e.b);
-      break;
-    case EventType::kGuardViolation:
-      w.kv("path", std::uint64_t{e.path});
-      w.kv("error_code", e.a);
-      w.kv("kind", e.b);
-      w.kv("observed", e.c);
-      break;
-    case EventType::kAuditCheck:
-      w.kv("checks", e.a);
-      w.kv("failures", e.b);
-      w.kv("pool_outstanding", e.c);
-      break;
-    case EventType::kFecStashEvicted:
-      w.kv("path", std::uint64_t{e.path});
-      w.kv("pn", e.a);
-      w.kv("bytes", e.b);
-      w.kv("stash_bytes", e.c);
-      break;
-    case EventType::kCcRateSample:
-      w.kv("path", std::uint64_t{e.path});
-      w.kv("rate", e.a);
-      w.kv("btlbw", e.b);
-      w.kv("min_rtt_us", e.c);
-      w.kv("app_limited", (e.flag & 1) != 0);
-      break;
-    case EventType::kAbrDecision:
-      w.kv("chunk", e.a);
-      w.kv("rung", e.b);
-      if (e.d != kNoValue) w.kv("prev_rung", e.d);
-      if (e.c != kNoValue) w.kv("estimate_bps", e.c);
-      w.kv("buffer_ms", std::uint64_t{e.extra});
-      break;
-  }
-}
-
-bool read_bool(const JsonValue& data, const char* key) {
-  const JsonValue* v = data.get(key);
-  return v && v->kind == JsonValue::Kind::kBool && v->boolean;
-}
-
-std::optional<Event> event_from_json(const JsonValue& entry) {
-  EventType type = EventType::kPacketSent;
-  if (!event_type_from_name(entry.get_str("name").c_str(), type))
-    return std::nullopt;
-  const JsonValue* data = entry.get("data");
-  if (!data || !data->is_object()) return std::nullopt;
-
-  Event e;
-  e.t = entry.get_u64("time");
-  e.type = type;
-  if (!origin_from_name(data->get_str("origin", "server"), e.origin))
-    return std::nullopt;
-  const auto path = static_cast<std::uint8_t>(data->get_u64("path"));
-  switch (type) {
-    case EventType::kPacketSent:
-      e = Event::packet_sent(e.t, e.origin, path, data->get_u64("pn"),
-                             data->get_u64("bytes"),
-                             read_bool(*data, "ack_eliciting"),
-                             read_bool(*data, "is_reinjection"));
-      break;
-    case EventType::kPacketReceived:
-      e = Event::packet_received(e.t, e.origin, path, data->get_u64("pn"),
-                                 data->get_u64("bytes"));
-      break;
-    case EventType::kAckMp: {
-      const bool has_rtt = data->get("rtt_us") != nullptr;
-      e = Event::ack_mp(e.t, e.origin, path, data->get_u64("largest_acked"),
-                        data->get_u64("acked_bytes"), data->get_u64("rtt_us"),
-                        has_rtt);
-      break;
-    }
-    case EventType::kLoss:
-      e = Event::loss(e.t, e.origin, path, data->get_u64("pn"),
-                      data->get_u64("bytes"),
-                      data->get_str("reason") == "time_threshold" ? 1 : 0);
-      break;
-    case EventType::kPto:
-      e = Event::pto(e.t, e.origin, path, data->get_u64("pto_count"));
-      break;
-    case EventType::kCcState:
-      e = Event::cc_state(e.t, e.origin, path, data->get_u64("cwnd"),
-                          data->get_u64("bytes_in_flight"),
-                          data->get("ssthresh") ? data->get_u64("ssthresh")
-                                                : kNoValue,
-                          data->get_u64("srtt_us"),
-                          read_bool(*data, "slow_start"),
-                          data->get("pacing_rate")
-                              ? data->get_u64("pacing_rate")
-                              : kNoValue);
-      break;
-    case EventType::kPathStatus:
-      e = Event::path_status(e.t, e.origin, path, data->get_u64("state"));
-      break;
-    case EventType::kPathBound:
-      e = Event::path_bound(e.t, e.origin, path, data->get_u64("tech"));
-      break;
-    case EventType::kReinjection:
-      e = Event::reinjection(
-          e.t, e.origin,
-          static_cast<std::uint8_t>(data->get_u64("origin_path")),
-          data->get_u64("bytes"), data->get_u64("pn"));
-      break;
-    case EventType::kDoubleThresholdGate:
-      e = Event::double_threshold_gate(
-          e.t, e.origin, read_bool(*data, "allowed"),
-          static_cast<std::uint32_t>(data->get_u64("rule")),
-          data->get("play_time_left_us")
-              ? data->get_u64("play_time_left_us")
-              : kNoValue,
-          data->get("deliver_time_max_us")
-              ? data->get_u64("deliver_time_max_us")
-              : kNoValue);
-      break;
-    case EventType::kQoeSignal:
-      e = Event::qoe_signal(e.t, e.origin, data->get_u64("cached_bytes"),
-                            data->get_u64("cached_frames"),
-                            data->get_u64("bps"));
-      break;
-    case EventType::kPlayerFirstFrame:
-      e = Event::player_first_frame(e.t, data->get_u64("latency_us"));
-      break;
-    case EventType::kPlayerStall:
-      e = Event::player_stall(e.t, data->get_u64("frame"));
-      break;
-    case EventType::kPlayerResume:
-      e = Event::player_resume(e.t, data->get_u64("stall_us"),
-                               data->get_u64("frame"));
-      break;
-    case EventType::kPlayerFinished:
-      e = Event::player_finished(e.t, data->get_u64("frames"));
-      break;
-    case EventType::kFault:
-      e = Event::fault(e.t, path, data->get_u64("kind"),
-                       read_bool(*data, "active"), data->get_u64("window"));
-      break;
-    case EventType::kPathHealth:
-      e = Event::path_health(e.t, e.origin, path, data->get_u64("health"),
-                             data->get_u64("pto_count"));
-      break;
-    case EventType::kFecRepairSent:
-      e = Event::fec_repair_sent(
-          e.t, e.origin, path, data->get_u64("window"), data->get_u64("bytes"),
-          data->get_u64("first_pn"),
-          static_cast<std::uint8_t>(data->get_u64("k")),
-          static_cast<std::uint8_t>(data->get_u64("r")),
-          static_cast<std::uint8_t>(data->get_u64("symbol_index")));
-      break;
-    case EventType::kFecRecovered:
-      e = Event::fec_recovered(e.t, e.origin, path, data->get_u64("pn"),
-                               data->get_u64("window"),
-                               data->get_u64("latency_us"));
-      break;
-    case EventType::kFecWasted:
-      e = Event::fec_wasted(e.t, e.origin, path, data->get_u64("window"),
-                            data->get_u64("symbols"));
-      break;
-    case EventType::kGuardViolation:
-      e = Event::guard_violation(e.t, e.origin, path,
-                                 data->get_u64("error_code"),
-                                 data->get_u64("kind"),
-                                 data->get_u64("observed"));
-      break;
-    case EventType::kAuditCheck:
-      e = Event::audit_check(e.t, e.origin, data->get_u64("checks"),
-                             data->get_u64("failures"),
-                             data->get_u64("pool_outstanding"));
-      break;
-    case EventType::kFecStashEvicted:
-      e = Event::fec_stash_evicted(e.t, e.origin, path, data->get_u64("pn"),
-                                   data->get_u64("bytes"),
-                                   data->get_u64("stash_bytes"));
-      break;
-    case EventType::kCcRateSample:
-      e = Event::cc_rate_sample(e.t, e.origin, path, data->get_u64("rate"),
-                                data->get_u64("btlbw"),
-                                data->get_u64("min_rtt_us"),
-                                read_bool(*data, "app_limited"));
-      break;
-    case EventType::kAbrDecision:
-      e = Event::abr_decision(
-          e.t, data->get_u64("chunk"), data->get_u64("rung"),
-          data->get("prev_rung") ? data->get_u64("prev_rung") : kNoValue,
-          data->get("estimate_bps") ? data->get_u64("estimate_bps")
-                                    : kNoValue,
-          data->get_u64("buffer_ms"));
-      break;
-  }
-  return e;
-}
-
-}  // namespace
-
-const char* event_name(EventType type) {
-  for (const auto& entry : kNames)
-    if (entry.type == type) return entry.name;
-  return "unknown";
-}
-
-bool event_type_from_name(const char* name, EventType& out) {
-  for (const auto& entry : kNames) {
-    if (std::strcmp(entry.name, name) == 0) {
-      out = entry.type;
-      return true;
-    }
-  }
-  return false;
 }
 
 void write_qlog(std::ostream& os, const std::vector<Event>& events,

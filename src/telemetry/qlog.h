@@ -9,9 +9,13 @@
 // "recovery:packet_lost", ...) with XLINK-specific events under the
 // "xlink:" and "player:" categories.
 //
-// import (parse_qlog) reconstructs the typed Event stream, which is what
-// the round-trip tests assert on and what the xlink_qlog analyzer
-// consumes.
+// One table in qlog.cpp holds the schema: for each EventType its name and
+// its data fields in export order, each with its JSON key, the Event slot
+// it lives in and how it is written. Export and import are each one loop
+// over that table. Import (parse_qlog) reconstructs the typed Event
+// stream, which is what the round-trip tests assert on and what the
+// xlink_qlog analyzer consumes: every document write_qlog produces parses
+// back to equal events and is written again byte for byte.
 #pragma once
 
 #include <optional>

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -20,6 +21,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "harness/grids.h"
@@ -179,6 +181,25 @@ TEST(GridManifest, RoundTripsEveryCellField) {
   }
   EXPECT_THROW(parse_manifest("{\"oops\": 1}"), std::runtime_error);
   EXPECT_THROW(parse_manifest("not json at all"), std::runtime_error);
+
+  // An unknown enum key is rejected with the enum's name and the key.
+  for (const auto& [field, bad, what] :
+       {std::tuple{"\"cc\": \"bbr\"", "\"cc\": \"vegas\"",
+                   "shard: unknown cc key 'vegas'"},
+        std::tuple{"\"insert_mode\": \"front_of_class\"",
+                   "\"insert_mode\": \"middle\"",
+                   "shard: unknown insert mode key 'middle'"}}) {
+    std::string text = os.str();
+    const std::size_t at = text.find(field);
+    ASSERT_NE(at, std::string::npos) << field;
+    text.replace(at, std::strlen(field), bad);
+    try {
+      parse_manifest(text);
+      ADD_FAILURE() << "accepted " << bad;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), what);
+    }
+  }
 }
 
 TEST(GridShardFile, CellResultRoundTripsBitExact) {

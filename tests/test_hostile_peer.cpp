@@ -321,6 +321,34 @@ TEST(HostilePeer, DatagramReplayFloodClosesConnection) {
   rig.expect_no_leaks();
 }
 
+TEST(HostilePeer, ReplayBelowDroppedAckRangesIsStillAReplay) {
+  AttackRig rig;
+  Connection& server = *rig.pair->server;
+  auto& attacker = rig.aim(server);
+
+  // One PING, then 33 more with a gap after each: 34 ranges exceed the 32
+  // the receiver keeps, and the PING's range is dropped. RFC 9000 §13.2.3:
+  // a receiver that discards ranges still counts every packet below them
+  // as received, so the PING replayed verbatim is a replay, not news.
+  const quic::PacketNumber first = attacker.next_pn(0);
+  {
+    const net::PacketBuffer wire =
+        attacker.seal(0, first, {Frame{quic::PingFrame{}}});
+    attacker.inject_wire(0, wire);
+    for (quic::PacketNumber i = 1; i <= 33; ++i)
+      attacker.inject_at(0, first + 2 * i, {Frame{quic::PingFrame{}}});
+    const auto& ranges = server.path_state(0).recv_ranges;
+    ASSERT_EQ(ranges.size(), 32u);
+    ASSERT_GT(ranges.back().first, first);
+    EXPECT_EQ(server.guard_counters().replayed_packets, 0u);
+
+    attacker.inject_wire(0, wire);
+  }
+  EXPECT_EQ(server.guard_counters().replayed_packets, 1u);
+  EXPECT_FALSE(server.is_closed());
+  rig.expect_no_leaks();
+}
+
 TEST(HostilePeer, CidLimitOverrunClosesConnection) {
   AttackRig rig;
   auto& attacker = rig.aim(*rig.pair->server);

@@ -3,6 +3,7 @@
 // trace analyzer, and end-to-end tracing of a harness session.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 
@@ -155,6 +156,20 @@ std::vector<Event> one_of_each_event() {
       E::path_health(310, Origin::kServer, 1, 2, 3),
       E::abr_decision(320, 0, 2, kNoValue, kNoValue, 0),
       E::abr_decision(330, 7, 1, 2, 1800000, 4200),
+      E::fec_repair_sent(340, Origin::kServer, 1, 17, 1216, 400, 8, 2, 1),
+      E::fec_recovered(350, Origin::kClient, 1, 403, 17, 12000),
+      E::fec_wasted(360, Origin::kClient, 1, 18, 2),
+      E::guard_violation(370, Origin::kServer, 0, 0x0a, 3, 1025),
+      E::audit_check(380, Origin::kServer, 9, 0, 42),
+      E::fec_stash_evicted(390, Origin::kClient, 0, 77, 1250, 64000),
+      E::cc_rate_sample(400, Origin::kServer, 0, 1250000, 1500000, 21000,
+                        true),
+      E::cc_rate_sample(410, Origin::kServer, 1, 600000, 900000, 48000,
+                        false),
+      E::cc_state(420, Origin::kServer, 1, 60000, 30000, 50000, 41000, false,
+                  2500000),
+      E::loss(430, Origin::kServer, 1, 9, 1200, 0),
+      E::packet_sent(440, Origin::kClient, 0, 12, 60, false, false),
   };
 }
 
@@ -184,18 +199,85 @@ TEST(Qlog, RoundTripPreservesEveryField) {
 }
 
 TEST(Qlog, EventNamesRoundTrip) {
-  for (const Event& e : one_of_each_event()) {
+  // Every EventType value up to the last one has a name that maps back to
+  // it and an entry in one_of_each_event(); no value past it has a name.
+  const std::vector<Event> events = one_of_each_event();
+  constexpr int kLast = static_cast<int>(EventType::kAbrDecision);
+  for (int v = 0; v <= 255; ++v) {
+    const auto type = static_cast<EventType>(v);
+    const std::string name = event_name(type);
+    if (v > kLast) {
+      EXPECT_EQ(name, "unknown") << "value " << v;
+      continue;
+    }
+    ASSERT_NE(name, "unknown") << "value " << v << " has no name";
     EventType back;
-    ASSERT_TRUE(event_type_from_name(event_name(e.type), back));
-    EXPECT_EQ(back, e.type);
+    ASSERT_TRUE(event_type_from_name(name.c_str(), back)) << name;
+    EXPECT_EQ(back, type) << name;
+    EXPECT_TRUE(std::any_of(events.begin(), events.end(),
+                            [type](const Event& e) { return e.type == type; }))
+        << name << " has no entry in one_of_each_event()";
   }
   EventType out;
   EXPECT_FALSE(event_type_from_name("transport:no_such_event", out));
 }
 
+TEST(Qlog, ExportBytesArePinned) {
+  // A round trip passes a renamed key or a reordered field as long as
+  // export and import agree; this pins the bytes themselves (FNV-1a of the
+  // document for one_of_each_event()). Parsing that document and writing
+  // it again reproduces the same bytes.
+  const std::vector<Event> events = one_of_each_event();
+  QlogMeta meta;
+  meta.title = "pinned";
+  meta.scenario = "one of each event";
+  meta.scheme = "XLINK";
+  meta.seed = 7;
+  std::ostringstream os;
+  write_qlog(os, events, meta);
+  const std::string text = os.str();
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : text) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 0x100000001b3ull;
+  }
+  EXPECT_EQ(h, 0x79b403240c71b084ull) << std::hex << h;
+
+  const auto parsed = parse_qlog(text);
+  ASSERT_TRUE(parsed.has_value());
+  std::ostringstream again;
+  write_qlog(again, parsed->events, parsed->meta, parsed->recorded,
+             parsed->dropped);
+  EXPECT_EQ(again.str(), text);
+}
+
 TEST(Qlog, ParseRejectsNonQlogJson) {
   EXPECT_FALSE(parse_qlog("{\"qlog_version\": \"0.4\"}").has_value());
   EXPECT_FALSE(parse_qlog("not json").has_value());
+
+  // An event with an unknown name, without a data object or with an
+  // unknown origin is rejected; the same envelope with a valid event parses.
+  const auto doc = [](const std::string& event) {
+    return "{\"traces\": [{\"events\": [" + event + "]}]}";
+  };
+  const auto stall = parse_qlog(doc(
+      R"({"time": 5, "name": "player:stall",)"
+      R"( "data": {"origin": "session", "frame": 3}})"));
+  ASSERT_TRUE(stall.has_value());
+  ASSERT_EQ(stall->events.size(), 1u);
+  EXPECT_EQ(stall->events[0], Event::player_stall(5, 3));
+
+  EXPECT_FALSE(parse_qlog(doc(R"({"time": 5, "name": "player:no_such",)"
+                              R"( "data": {"origin": "session"}})"))
+                   .has_value());
+  EXPECT_FALSE(
+      parse_qlog(doc(R"({"time": 5, "name": "player:stall"})")).has_value());
+  EXPECT_FALSE(parse_qlog(doc(R"({"time": 5, "name": "player:stall",)"
+                              R"( "data": 3})"))
+                   .has_value());
+  EXPECT_FALSE(parse_qlog(doc(R"({"time": 5, "name": "player:stall",)"
+                              R"( "data": {"origin": "relay", "frame": 3}})"))
+                   .has_value());
 }
 
 // --------------------------------------------------------------- metrics
@@ -273,21 +355,6 @@ TEST(Metrics, MergeOrderIsDeterministic) {
   for (int i = 1; i <= 4; ++i) fold2.merge(make(i));
   EXPECT_EQ(fold1, fold2);
   EXPECT_EQ(fold1.counter("n"), 10u);
-}
-
-TEST(Metrics, WriteJsonIsParseable) {
-  MetricsRegistry m;
-  m.add_counter("quic.packets", 12);
-  m.set_gauge("buffer", 1.25);
-  m.observe("rct", 0.5);
-  std::ostringstream os;
-  m.write_json(os);
-  const auto parsed = parse_json(os.str());
-  ASSERT_TRUE(parsed.has_value());
-  const JsonValue* counters = parsed->get("counters");
-  ASSERT_TRUE(counters && counters->is_object());
-  EXPECT_EQ(counters->get_u64("quic.packets"), 12u);
-  ASSERT_NE(parsed->get("histograms"), nullptr);
 }
 
 // -------------------------------------------------------------- analyzer
